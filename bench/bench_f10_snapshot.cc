@@ -14,6 +14,10 @@
 //     database: batches spread round-robin over the tables, so bigger
 //     batches dirty more tables and the published bytes grow with the
 //     touched set, not with the database.
+//   * F10c publication cost of a one-row write vs rows per table (one
+//     table): a write clones one row chunk and one index shard, not the
+//     table, so latency and marginal bytes grow with table/64 index
+//     entries at most, not with the table.
 //
 // Correctness of shared snapshots (answers, edge ids, immutability) is
 // proved by tests/snapshot_cow_test.cc; this binary only times publication.
@@ -21,6 +25,7 @@
 
 #include <map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/str_util.h"
 #include "service/snapshot.h"
@@ -33,6 +38,13 @@ using service::SnapshotPtr;
 
 size_t RowsPerTable() { return SmokeMode() ? 256 : 8192; }
 constexpr size_t kConflictEvery = 64;
+
+/// F10c's table sizes: 8x steps, so a cost linear in the table would show
+/// as an 8x step per row.
+std::vector<size_t> F10cRowsPerTable() {
+  if (SmokeMode()) return {1024, 8192, 65536};
+  return {8192, 65536, 524288};
+}
 
 /// T tables (a INTEGER, b INTEGER) with an FD a -> b and a conflict pair
 /// every kConflictEvery rows. Incremental maintenance on, graph warm.
@@ -81,12 +93,14 @@ SnapshotPtr MustCapture(Database* db, uint64_t epoch) {
 }
 
 /// One COW commit: a conflicting single-row insert into t0 (clones the
-/// touched table and dirty graph partitions) followed by capture.
+/// touched row chunk, index shard and dirty graph partitions) followed by
+/// capture. `rows` is t0's size, so the insert hits an existing key.
 double CowCommitSeconds(Database* db, uint64_t* epoch, SnapshotPtr* prev,
-                        size_t* marginal_bytes) {
+                        size_t* marginal_bytes,
+                        size_t rows = RowsPerTable()) {
   uint64_t e = (*epoch)++;
   std::string table = "t0";
-  Row row{Value::Int(static_cast<int64_t>(e % RowsPerTable())),
+  Row row{Value::Int(static_cast<int64_t>(e % rows)),
           Value::Int(static_cast<int64_t>(1000000 + e))};
   SnapshotPtr snap;
   double secs = TimeOnce([&] {
@@ -181,9 +195,33 @@ void PrintPublicationVsBatch() {
       kTables, RowsPerTable()));
 }
 
+void PrintPublicationVsTableSize() {
+  TextTable table({"rows/table", "cow publish", "marginal bytes",
+                   "full bytes"});
+  for (size_t rows : F10cRowsPerTable()) {
+    // A private database per size (not the F10a cache, whose t0 already
+    // holds the rows these commits insert).
+    std::unique_ptr<Database> db = BuildManyTables(1, rows);
+    uint64_t epoch = 1;
+    SnapshotPtr prev = MustCapture(db.get(), 0);  // steady state: all shared
+    size_t marginal = 0;
+    double cow = MinOf(
+        [&] {
+          return CowCommitSeconds(db.get(), &epoch, &prev, &marginal, rows);
+        },
+        5);
+    table.AddRow({std::to_string(rows), FormatSeconds(cow),
+                  FormatBytes(marginal), FormatBytes(prev->ApproxBytes())});
+  }
+  table.Print(
+      "F10c: publication cost of a one-row write vs rows per table "
+      "(1 table)");
+}
+
 void PrintFigureTables() {
   PrintPublicationVsTables();
   PrintPublicationVsBatch();
+  PrintPublicationVsTableSize();
 }
 
 void BM_CowPublish(benchmark::State& state) {

@@ -10,7 +10,7 @@ Catalog Catalog::Clone() const {
   Catalog copy;
   copy.slots_.reserve(slots_.size());
   for (const Slot& slot : slots_) {
-    copy.slots_.push_back(Slot{std::make_shared<Table>(*slot.table), false});
+    copy.slots_.push_back(Slot{slot.table->DeepCopy(), false});
   }
   copy.by_name_ = by_name_;
   return copy;
@@ -95,18 +95,22 @@ std::vector<std::string> Catalog::TableNames() const {
 }
 
 size_t Catalog::ApproxBytes() const {
+  std::unordered_set<const void*> seen;
   size_t bytes = sizeof(Catalog);
-  for (const Slot& slot : slots_) bytes += slot.table->ApproxBytes();
+  AccumulateApproxBytes(&seen, &bytes);
   return bytes;
 }
 
 void Catalog::AccumulateApproxBytes(std::unordered_set<const void*>* seen,
                                     size_t* bytes) const {
   for (const Slot& slot : slots_) {
-    if (seen->insert(slot.table.get()).second) {
-      *bytes += slot.table->ApproxBytes();
-    }
+    slot.table->AccumulateApproxBytes(seen, bytes);
   }
+}
+
+void Catalog::CollectStorageIdentity(
+    std::unordered_set<const void*>* seen) const {
+  for (const Slot& slot : slots_) slot.table->CollectStorageIdentity(seen);
 }
 
 }  // namespace hippo

@@ -4,9 +4,11 @@
 // epoch snapshot (service::Snapshot) can share every untouched table with
 // the live catalog instead of deep-copying the whole instance: Share()
 // publishes a structurally shared copy in O(#tables), and the first mutation
-// of a table after a Share() clones just that table (MutableTable). Table
-// ids and RowIds are preserved by both Share() and Clone(), so a conflict
-// hypergraph built against one copy remains valid against the other.
+// of a table after a Share() copies just that table's header
+// (MutableTable), which itself shares every row chunk and index shard until
+// a write touches them (see storage/table.h). Table ids and RowIds are
+// preserved by both Share() and Clone(), so a conflict hypergraph built
+// against one copy remains valid against the other.
 #pragma once
 
 #include <memory>
@@ -29,17 +31,19 @@ class Catalog {
   Catalog& operator=(Catalog&&) = default;
 
   /// Deep copy of the whole instance: every table (schema, rows, tombstones,
-  /// row index) is duplicated, preserving table ids and RowIds exactly.
-  /// O(database); kept as the baseline the COW differential tests and
-  /// bench_f10_snapshot compare Share() against.
+  /// row index) is duplicated, preserving table ids and RowIds exactly, and
+  /// the copy shares no partition with the source. O(database); kept as the
+  /// baseline the COW differential tests and bench_f10_snapshot compare
+  /// Share() against.
   Catalog Clone() const;
 
   /// Structurally shared copy: the returned catalog points at the same
   /// immutable Table objects, and every slot of *both* catalogs is marked
-  /// shared so the next mutation through MutableTable()/GetTable() clones
-  /// only the touched table (copy-on-write). O(#tables). Requires exclusion
-  /// from concurrent mutators, exactly like Clone(); the returned copy is
-  /// meant to be frozen (service::Snapshot never mutates it).
+  /// shared so the next mutation through MutableTable()/GetTable() copies
+  /// only the touched table, itself partition-sharing (copy-on-write).
+  /// O(#tables). Requires exclusion from concurrent mutators, exactly like
+  /// Clone(); the returned copy is meant to be frozen (service::Snapshot
+  /// never mutates it).
   Catalog Share();
 
   /// Creates a table; AlreadyExists if the name is taken. Re-creating a
@@ -64,9 +68,10 @@ class Catalog {
   Table& table(uint32_t id) { return MutableTable(id); }
 
   /// Copy-on-write accessor: when the slot is shared with a snapshot, the
-  /// table is cloned (O(table)) and the private clone returned; otherwise
-  /// the existing object is returned unchanged. The pointer stays valid
-  /// until the next Share() of this catalog.
+  /// table is copied (O(#chunks + #shards), sharing every partition) and
+  /// the private copy returned; otherwise the existing object is returned
+  /// unchanged. The pointer stays valid until the next Share() of this
+  /// catalog.
   Table& MutableTable(uint32_t id);
 
   /// The shared slot itself — exposes structural identity so tests and the
@@ -91,12 +96,17 @@ class Catalog {
   /// Rough resident bytes of the whole instance (sum of Table::ApproxBytes).
   size_t ApproxBytes() const;
 
-  /// Adds the bytes of every table whose storage is not already in `seen`
-  /// (keyed by Table object identity) to `*bytes`, inserting as it goes.
-  /// Accumulating several snapshots against one `seen` set yields their
-  /// true combined footprint under structural sharing.
+  /// Adds the bytes of every table header, row chunk, index shard and
+  /// columnar view not already in `seen` (keyed by object identity) to
+  /// `*bytes`, inserting as it goes. Accumulating several snapshots against
+  /// one `seen` set yields their true combined footprint under structural
+  /// sharing.
   void AccumulateApproxBytes(std::unordered_set<const void*>* seen,
                              size_t* bytes) const;
+
+  /// Inserts the identity of every piece of table storage that
+  /// AccumulateApproxBytes counts into `seen`.
+  void CollectStorageIdentity(std::unordered_set<const void*>* seen) const;
 
  private:
   struct Slot {

@@ -194,7 +194,8 @@ class Database {
 
   /// A structurally shared copy-on-write fork of this database: every
   /// table is pointer-shared via Catalog::Share (either side's next write
-  /// clones only the touched table), constraints are deep-copied, foreign
+  /// copies only the touched table's header, then clones only the row
+  /// chunks and index shards it writes), constraints are deep-copied, foreign
   /// keys and options are copied. The fork starts with no hypergraph and
   /// incremental maintenance off — it is a private lineage for the
   /// service's asynchronous bulk/DDL commit rounds: apply the bulk there,

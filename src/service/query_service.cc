@@ -111,8 +111,9 @@ QueryService::QueryService(ServiceOptions options)
   Status st = master_->EnableIncrementalMaintenance();
   HIPPO_CHECK_MSG(st.ok(), st.ToString().c_str());
   {
+    SnapshotPtr superseded;  // none yet
     std::lock_guard<std::mutex> lock(master_mu_);
-    st = Publish();  // epoch 0: the empty instance
+    st = Publish(&superseded);  // epoch 0: the empty instance
   }
   HIPPO_CHECK_MSG(st.ok(), st.ToString().c_str());
   workers_.reserve(options_.num_workers);
@@ -228,6 +229,7 @@ Status QueryService::Commit(const std::string& sql) {
 
 Status QueryService::WithMaster(const std::function<Status(Database&)>& fn,
                                 bool publish) {
+  SnapshotPtr superseded;  // released after the lock (declared before it)
   std::unique_lock<std::mutex> lock(master_mu_);
   // Outside any async round: a mutation applied mid-round would be lost
   // when the fork swaps in (only ring commits are replayed).
@@ -238,7 +240,7 @@ Status QueryService::WithMaster(const std::function<Status(Database&)>& fn,
     if (st.ok()) st = restored;
   }
   if (publish) {
-    Status published = Publish();
+    Status published = Publish(&superseded);
     if (st.ok()) st = published;
   }
   return st;
@@ -366,6 +368,7 @@ void QueryService::ResolveGroup(std::vector<CommitRequest>* group,
 void QueryService::ProcessSmallGroup(std::vector<CommitRequest> group) {
   CommitPhases shared;
   SnapshotPtr snap;
+  SnapshotPtr superseded;  // released after master_mu_, at scope exit
   Status published;
   {
     std::lock_guard<std::mutex> lock(master_mu_);
@@ -397,7 +400,7 @@ void QueryService::ProcessSmallGroup(std::vector<CommitRequest> group) {
     }
     if (published.ok()) {
       auto publish_start = std::chrono::steady_clock::now();
-      published = Publish(&snap);
+      published = Publish(&superseded, &snap);
       shared.publish_seconds = SecondsSince(publish_start);
     }
   }
@@ -408,6 +411,7 @@ void QueryService::ProcessSyncRedetect(std::vector<CommitRequest> group) {
   CommitPhases shared;
   shared.redetected = true;
   SnapshotPtr snap;
+  SnapshotPtr superseded;  // released after master_mu_, at scope exit
   Status published;
   {
     std::lock_guard<std::mutex> lock(master_mu_);
@@ -427,7 +431,7 @@ void QueryService::ProcessSyncRedetect(std::vector<CommitRequest> group) {
     shared.detect_seconds = SecondsSince(detect_start);
     if (restored.ok()) {
       auto publish_start = std::chrono::steady_clock::now();
-      published = Publish(&snap);
+      published = Publish(&superseded, &snap);
       shared.publish_seconds = SecondsSince(publish_start);
     } else {
       published = restored;
@@ -488,6 +492,11 @@ void QueryService::FinishAsyncRound() {
   }
   SnapshotPtr snap;
   Status published;
+  // The superseded epoch and the losing Database lineage (old master, or
+  // the fork of a failed round) are released after master_mu_ is dropped:
+  // either may hold the last reference to O(database) storage.
+  SnapshotPtr superseded;
+  std::unique_ptr<Database> retired;
   const size_t replayed = replay_log_.size();
   {
     std::lock_guard<std::mutex> lock(master_mu_);
@@ -513,15 +522,16 @@ void QueryService::FinishAsyncRound() {
     if (detect_st.ok()) {
       // The epoch swap is a pointer swap: the fork becomes the master;
       // the old master's tables live on inside published snapshots.
+      retired = std::move(master_);
       master_ = std::move(fork_);
       auto publish_start = std::chrono::steady_clock::now();
-      published = Publish(&snap);
+      published = Publish(&superseded, &snap);
       shared.publish_seconds = SecondsSince(publish_start);
     } else {
       // Detection failed (e.g. invalid DetectOptions): the master never
       // saw the bulk, its lineage stays consistent; the round's commits
       // report the error and are NOT applied.
-      fork_.reset();
+      retired = std::move(fork_);
       published = detect_st;
     }
     round_in_flight_ = false;
@@ -538,7 +548,7 @@ void QueryService::FinishAsyncRound() {
   ResolveGroup(&group, published, snap, shared);
 }
 
-Status QueryService::Publish(SnapshotPtr* out) {
+Status QueryService::Publish(SnapshotPtr* superseded, SnapshotPtr* out) {
   auto t0 = std::chrono::steady_clock::now();
   HIPPO_ASSIGN_OR_RETURN(SnapshotPtr snap,
                          Snapshot::Capture(master_.get(), next_epoch_));
@@ -548,8 +558,11 @@ Status QueryService::Publish(SnapshotPtr* out) {
   if (out != nullptr) *out = snap;
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    current_ = std::move(snap);
+    current_.swap(snap);
   }
+  // `snap` now holds the previous epoch; the caller releases it once every
+  // commit-path lock is dropped.
+  *superseded = std::move(snap);
   if (m_commit_publish_ != nullptr) {
     m_commit_publish_->Record(secs);
     m_epoch_->Set(static_cast<int64_t>(next_epoch_));

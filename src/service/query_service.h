@@ -442,8 +442,11 @@ class QueryService {
 
   /// Captures master_ (caller holds master_mu_) and swaps it in as the
   /// current snapshot (next epoch). `out`, when non-null, receives the
-  /// published snapshot.
-  Status Publish(SnapshotPtr* out = nullptr);
+  /// published snapshot. `*superseded` receives the previous epoch: the
+  /// caller must release it only after dropping master_mu_, since it may
+  /// be the last reference to O(database) storage and every Submit and
+  /// snapshot() call contends on the locks around it.
+  Status Publish(SnapshotPtr* superseded, SnapshotPtr* out = nullptr);
 
   ServiceOptions options_;
 

@@ -36,9 +36,7 @@ size_t Snapshot::ApproxBytes() const {
 
 void Snapshot::CollectStorageIdentity(
     std::unordered_set<const void*>* seen) const {
-  for (uint32_t t = 0; t < catalog_.NumTables(); ++t) {
-    seen->insert(catalog_.TableRef(t).get());
-  }
+  catalog_.CollectStorageIdentity(seen);
   for (const void* p : graph_.PartitionPointers()) seen->insert(p);
 }
 

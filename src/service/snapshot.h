@@ -109,11 +109,12 @@ class Snapshot {
   /// commit path.
   size_t ApproxBytes() const;
 
-  /// Inserts the identity of every storage partition (tables, hypergraph
-  /// chunks/shards) into `seen` without computing sizes. Seeding `seen`
-  /// with a predecessor epoch makes AccumulateApproxBytes report only the
-  /// *marginal* bytes this snapshot allocated — the published cost of one
-  /// copy-on-write commit.
+  /// Inserts the identity of every storage partition (table headers, row
+  /// chunks, index shards and columnar views; hypergraph chunks/shards)
+  /// into `seen` without computing sizes. Seeding `seen` with a predecessor
+  /// epoch makes AccumulateApproxBytes report only the *marginal* bytes
+  /// this snapshot allocated — the published cost of one copy-on-write
+  /// commit.
   void CollectStorageIdentity(std::unordered_set<const void*>* seen) const;
 
   /// Adds the bytes of every storage partition not already in `seen`

@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace hippo {
@@ -13,36 +15,110 @@ size_t TableColumns::ApproxBytes() const {
   return bytes;
 }
 
+// --- structural sharing ----------------------------------------------------
+
 Table::Table(const Table& other)
     : id_(other.id_),
       name_(other.name_),
       schema_(other.schema_),
-      rows_(other.rows_),
-      live_(other.live_),
-      num_live_(other.num_live_),
-      index_(other.index_) {
+      chunks_(other.chunks_),
+      shards_(other.shards_),
+      num_slots_(other.num_slots_),
+      num_live_(other.num_live_) {
+  other.MarkShared();
   std::lock_guard<std::mutex> lock(other.columnar_mu_);
   columnar_ = other.columnar_;  // same slots -> same immutable image
 }
 
-Table& Table::operator=(const Table& other) {
-  if (this == &other) return *this;
-  id_ = other.id_;
-  name_ = other.name_;
-  schema_ = other.schema_;
-  rows_ = other.rows_;
-  live_ = other.live_;
-  num_live_ = other.num_live_;
-  index_ = other.index_;
-  std::shared_ptr<const TableColumns> view;
-  {
-    std::lock_guard<std::mutex> lock(other.columnar_mu_);
-    view = other.columnar_;
+std::shared_ptr<Table> Table::DeepCopy() const {
+  auto copy = std::make_shared<Table>(id_, name_, schema_);
+  copy->chunks_.reserve(chunks_.size());
+  for (const auto& chunk : chunks_) {
+    copy->chunks_.push_back(std::make_shared<RowChunk>(*chunk));
   }
-  std::lock_guard<std::mutex> lock(columnar_mu_);
-  columnar_ = std::move(view);
-  return *this;
+  for (size_t s = 0; s < kIndexShards; ++s) {
+    if (shards_[s] != nullptr) {
+      copy->shards_[s] = std::make_shared<IndexShard>(*shards_[s]);
+    }
+  }
+  copy->num_slots_ = num_slots_;
+  copy->num_live_ = num_live_;
+  return copy;
 }
+
+void Table::MarkShared() const {
+  for (const auto& chunk : chunks_) chunk->shared.Set();
+  for (const auto& shard : shards_) {
+    if (shard != nullptr) shard->shared.Set();
+  }
+}
+
+// --- copy-on-write partition accessors -------------------------------------
+
+Table::RowChunk* Table::MutableChunk(size_t ci) {
+  const RowChunk& chunk = *chunks_[ci];
+  if (chunk.shared.IsSet()) {
+    auto copy = std::make_shared<RowChunk>();
+    // The clone is usually of the tail chunk: leave room to fill it
+    // without regrowing (a full chunk is already exactly this size).
+    copy->rows.reserve(kChunkSlots);
+    copy->rows = chunk.rows;
+    copy->live = chunk.live;
+    chunks_[ci] = std::move(copy);
+  }
+  return chunks_[ci].get();
+}
+
+Table::IndexShard* Table::MutableShard(size_t si) {
+  if (shards_[si] == nullptr) {
+    shards_[si] = std::make_shared<IndexShard>();
+  } else if (shards_[si]->shared.IsSet()) {
+    shards_[si] = std::make_shared<IndexShard>(*shards_[si]);
+  }
+  return shards_[si].get();
+}
+
+// --- full-row index --------------------------------------------------------
+
+uint64_t Table::IndexHash(const Row& row) { return Mix64(HashRow(row)); }
+
+std::optional<uint32_t> Table::Lookup(const Row& probe, uint64_t hash) const {
+  const IndexShard* shard = shards_[hash >> kShardShift].get();
+  if (shard == nullptr) return std::nullopt;
+  const size_t mask = shard->cells.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(hash);
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
+    uint64_t cell = shard->cells[i];
+    if (cell == 0) return std::nullopt;
+    if (static_cast<uint32_t>(cell >> 32) != tag) continue;
+    uint32_t slot = static_cast<uint32_t>(cell) - 1;
+    if (row(slot) == probe) return slot;
+  }
+}
+
+void Table::IndexInsert(uint64_t hash, uint32_t slot) {
+  IndexShard* shard = MutableShard(hash >> kShardShift);
+  // Keep the load factor at or below 1/2 so linear probes stay short.
+  if (2 * (shard->size + 1) > shard->cells.size()) {
+    std::vector<uint64_t> old = std::move(shard->cells);
+    shard->cells.assign(std::max<size_t>(16, 2 * old.size()), 0);
+    const size_t mask = shard->cells.size() - 1;
+    for (uint64_t cell : old) {
+      if (cell == 0) continue;
+      size_t i = static_cast<uint32_t>(cell >> 32) & mask;
+      while (shard->cells[i] != 0) i = (i + 1) & mask;
+      shard->cells[i] = cell;
+    }
+  }
+  const size_t mask = shard->cells.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(hash);
+  size_t i = tag & mask;
+  while (shard->cells[i] != 0) i = (i + 1) & mask;
+  shard->cells[i] = (static_cast<uint64_t>(tag) << 32) | (uint64_t{slot} + 1);
+  ++shard->size;
+}
+
+// --- rows ------------------------------------------------------------------
 
 Result<Row> Table::CoerceRow(const Row& values) const {
   if (values.size() != schema_.NumColumns()) {
@@ -61,36 +137,40 @@ Result<Row> Table::CoerceRow(const Row& values) const {
 
 Result<std::pair<RowId, bool>> Table::Insert(const Row& values) {
   HIPPO_ASSIGN_OR_RETURN(Row coerced, CoerceRow(values));
-  auto it = index_.find(coerced);
-  if (it != index_.end()) {
-    uint32_t idx = it->second;
-    if (live_[idx]) {
+  const uint64_t hash = IndexHash(coerced);
+  if (std::optional<uint32_t> hit = Lookup(coerced, hash)) {
+    uint32_t idx = *hit;
+    if (IsLive(idx)) {
       return std::make_pair(RowId{id_, idx}, false);
     }
     // Resurrect the tombstoned slot: same fact, same RowId. The columnar
     // image stays valid — it carries every slot, live or not.
-    live_[idx] = true;
+    MutableChunk(idx >> kChunkShift)->live[idx & kChunkMask] = true;
     ++num_live_;
     return std::make_pair(RowId{id_, idx}, true);
   }
-  uint32_t idx = static_cast<uint32_t>(rows_.size());
-  index_.emplace(coerced, idx);
-  rows_.push_back(std::move(coerced));
-  live_.push_back(true);
+  uint32_t idx = static_cast<uint32_t>(num_slots_);
+  size_t ci = idx >> kChunkShift;
+  if (ci == chunks_.size()) chunks_.push_back(std::make_shared<RowChunk>());
+  RowChunk* chunk = MutableChunk(ci);
+  chunk->rows.push_back(std::move(coerced));
+  chunk->live.push_back(true);
+  ++num_slots_;
+  IndexInsert(hash, idx);
   ++num_live_;
   InvalidateColumnar();  // a new slot extends the image
   return std::make_pair(RowId{id_, idx}, true);
 }
 
 bool Table::Delete(uint32_t row_index) {
-  if (row_index >= live_.size() || !live_[row_index]) return false;
-  live_[row_index] = false;
+  if (!IsLive(row_index)) return false;
+  MutableChunk(row_index >> kChunkShift)->live[row_index & kChunkMask] = false;
   --num_live_;
   return true;
 }
 
 std::optional<RowId> Table::Find(const Row& values) const {
-  // The index stores rows in canonical (schema-coerced) form; probing with
+  // The index holds rows in canonical (schema-coerced) form; probing with
   // the caller's literal types would silently miss e.g. Double(2.0) against
   // an INT column stored as Int(2). Coerce first — cheap fast path when the
   // probe already matches the schema.
@@ -99,51 +179,59 @@ std::optional<RowId> Table::Find(const Row& values) const {
     canonical = values[i].is_null() ||
                 values[i].type() == schema_.column(i).type;
   }
+  std::optional<uint32_t> hit;
   if (canonical) {
-    auto it = index_.find(values);
-    if (it == index_.end() || !live_[it->second]) return std::nullopt;
-    return RowId{id_, it->second};
+    hit = Lookup(values, IndexHash(values));
+  } else {
+    Result<Row> coerced = CoerceRow(values);
+    // Wrong arity or an uncoercible value cannot name a stored row: a miss.
+    if (!coerced.ok()) return std::nullopt;
+    hit = Lookup(coerced.value(), IndexHash(coerced.value()));
   }
-  Result<Row> coerced = CoerceRow(values);
-  // Wrong arity or an uncoercible value cannot name a stored row: a miss.
-  if (!coerced.ok()) return std::nullopt;
-  auto it = index_.find(coerced.value());
-  if (it == index_.end() || !live_[it->second]) return std::nullopt;
-  return RowId{id_, it->second};
+  if (!hit.has_value() || !IsLive(*hit)) return std::nullopt;
+  return RowId{id_, *hit};
 }
 
 void Table::Clear() {
-  rows_.clear();
-  live_.clear();
+  chunks_.clear();
+  shards_.fill(nullptr);
+  num_slots_ = 0;
   num_live_ = 0;
-  index_.clear();
   InvalidateColumnar();
 }
+
+// --- columnar view ---------------------------------------------------------
 
 void Table::InvalidateColumnar() {
   std::lock_guard<std::mutex> lock(columnar_mu_);
   columnar_.reset();
 }
 
+std::shared_ptr<const TableColumns> Table::MemoizedColumnar() const {
+  std::lock_guard<std::mutex> lock(columnar_mu_);
+  return columnar_;
+}
+
 std::shared_ptr<const TableColumns> Table::columnar() const {
-  {
-    std::lock_guard<std::mutex> lock(columnar_mu_);
-    if (columnar_) return columnar_;
+  if (std::shared_ptr<const TableColumns> view = MemoizedColumnar()) {
+    return view;
   }
-  // Build outside the lock (read-only over rows_; concurrent builders may
-  // race benignly and one image wins — they are identical).
+  // Build outside the lock (read-only over the chunks; concurrent builders
+  // may race benignly and one image wins — they are identical).
   auto view = std::make_shared<TableColumns>();
-  view->num_slots = rows_.size();
+  view->num_slots = num_slots_;
   view->columns.reserve(schema_.NumColumns());
   for (size_t c = 0; c < schema_.NumColumns(); ++c) {
     auto col = std::make_shared<ColumnVector>(schema_.column(c).type);
-    col->Reserve(rows_.size());
-    for (const Row& r : rows_) col->AppendValue(r[c]);
+    col->Reserve(num_slots_);
+    for (const auto& chunk : chunks_) {
+      for (const Row& r : chunk->rows) col->AppendValue(r[c]);
+    }
     view->columns.push_back(std::move(col));
   }
   auto rowids = std::make_shared<ColumnVector>(TypeId::kInt);
-  rowids->Reserve(rows_.size());
-  for (size_t i = 0; i < rows_.size(); ++i) {
+  rowids->Reserve(num_slots_);
+  for (size_t i = 0; i < num_slots_; ++i) {
     rowids->AppendValue(Value::Int(static_cast<int64_t>(i)));
   }
   view->rowids = std::move(rowids);
@@ -153,12 +241,15 @@ std::shared_ptr<const TableColumns> Table::columnar() const {
   return columnar_;
 }
 
+// --- memory accounting -----------------------------------------------------
+
 namespace {
 
 constexpr size_t kSsoCapacity = 15;  // typical libstdc++/libc++ SSO buffer
 
-size_t ApproxRowBytes(const Row& row) {
-  size_t bytes = sizeof(Row) + row.capacity() * sizeof(Value);
+/// Heap bytes a row owns beyond its own vector header.
+size_t RowPayloadBytes(const Row& row) {
+  size_t bytes = row.capacity() * sizeof(Value);
   for (const Value& v : row) {
     if (v.type() == TypeId::kString) {
       // Short strings live inside the Value's SSO buffer (already counted
@@ -173,25 +264,60 @@ size_t ApproxRowBytes(const Row& row) {
 }  // namespace
 
 size_t Table::ApproxBytes() const {
-  size_t bytes = sizeof(Table) + name_.capacity();
-  bytes += schema_.NumColumns() * sizeof(Column);
-  for (const Row& row : rows_) bytes += ApproxRowBytes(row);
-  bytes += live_.capacity() / 8;
-  // The index stores a second copy of every row plus node and bucket-array
-  // overhead; the bucket array scales with bucket_count(), not size().
-  for (const auto& [row, idx] : index_) {
-    (void)idx;
-    bytes += ApproxRowBytes(row) + sizeof(uint32_t) + 2 * sizeof(void*);
-  }
-  bytes += index_.bucket_count() * sizeof(void*);
-  // The memoized columnar view owns its own typed buffers.
-  std::shared_ptr<const TableColumns> view;
-  {
-    std::lock_guard<std::mutex> lock(columnar_mu_);
-    view = columnar_;
-  }
-  if (view) bytes += view->ApproxBytes();
+  std::unordered_set<const void*> seen;
+  size_t bytes = 0;
+  AccumulateApproxBytes(&seen, &bytes);
   return bytes;
+}
+
+void Table::AccumulateApproxBytes(std::unordered_set<const void*>* seen,
+                                  size_t* bytes) const {
+  if (seen->insert(this).second) {
+    *bytes += sizeof(Table) + name_.capacity() +
+              schema_.NumColumns() * sizeof(Column) +
+              chunks_.capacity() * sizeof(chunks_[0]);
+  }
+  for (const auto& chunk : chunks_) {
+    if (!seen->insert(chunk.get()).second) continue;
+    size_t b = sizeof(RowChunk) + chunk->rows.capacity() * sizeof(Row) +
+               chunk->live.capacity() / 8;
+    for (const Row& row : chunk->rows) b += RowPayloadBytes(row);
+    *bytes += b;
+  }
+  for (const auto& shard : shards_) {
+    if (shard == nullptr || !seen->insert(shard.get()).second) continue;
+    *bytes += sizeof(IndexShard) + shard->cells.capacity() * sizeof(uint64_t);
+  }
+  // The memoized columnar view owns its own typed buffers.
+  std::shared_ptr<const TableColumns> view = MemoizedColumnar();
+  if (view != nullptr && seen->insert(view.get()).second) {
+    *bytes += view->ApproxBytes();
+  }
+}
+
+void Table::CollectStorageIdentity(
+    std::unordered_set<const void*>* seen) const {
+  seen->insert(this);
+  for (const auto& chunk : chunks_) seen->insert(chunk.get());
+  for (const auto& shard : shards_) {
+    if (shard != nullptr) seen->insert(shard.get());
+  }
+  std::shared_ptr<const TableColumns> view = MemoizedColumnar();
+  if (view != nullptr) seen->insert(view.get());
+}
+
+std::vector<const void*> Table::ChunkPointers() const {
+  std::vector<const void*> out;
+  out.reserve(chunks_.size());
+  for (const auto& chunk : chunks_) out.push_back(chunk.get());
+  return out;
+}
+
+std::vector<const void*> Table::IndexShardPointers() const {
+  std::vector<const void*> out;
+  out.reserve(kIndexShards);
+  for (const auto& shard : shards_) out.push_back(shard.get());
+  return out;
 }
 
 }  // namespace hippo

@@ -10,13 +10,24 @@
 // therefore its RowId), scans skip it, and re-inserting the same values
 // resurrects the original RowId. Stable RowIds are what make incremental
 // maintenance of the conflict hypergraph under updates possible.
+//
+// Storage is partitioned behind shared_ptr for copy-on-write epoch
+// publication (DESIGN.md §5), like ConflictHypergraph: row slots and their
+// liveness bits live in fixed-size chunks (RowId.row = chunk ordinal ×
+// kChunkSlots + slot, so partitioning never renumbers a row), and the
+// full-row index is hash-sharded kIndexShards ways. Copying a Table shares
+// every partition in O(#chunks + #shards); the first write to a partition
+// that another Table may reference clones just that partition — the tail
+// chunk and one shard for an insert, one chunk for a delete or resurrection.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -68,14 +79,28 @@ struct TableColumns {
 /// \brief A base relation: schema + rows, append-only with set semantics.
 class Table {
  public:
+  /// Partition geometry: rows live in chunks of kChunkSlots slots, the
+  /// full-row index in kIndexShards hash shards. A one-row write clones
+  /// O(kChunkSlots + rows / kIndexShards) storage.
+  static constexpr size_t kChunkShift = 10;
+  static constexpr size_t kChunkSlots = size_t{1} << kChunkShift;  // 1024
+  static constexpr size_t kIndexShards = 64;
+
   Table(uint32_t id, std::string name, Schema schema)
       : id_(id), name_(std::move(name)), schema_(std::move(schema)) {}
 
-  // The columnar-view cache sits behind a mutex (lazily built on const,
-  // snapshot-shared tables), so copying needs to be spelled out; the copy
-  // shares the immutable view — both tables image the same slots.
+  /// Structurally shared copy: both tables reference the same partitions,
+  /// which are marked shared so the next write on either side clones only
+  /// the partition it touches. O(#chunks + #shards). The copy also shares
+  /// the memoized columnar view — both tables image the same slots. The
+  /// marks are atomic, so copying a frozen snapshot's table is safe from
+  /// any number of threads at once.
   Table(const Table& other);
-  Table& operator=(const Table& other);
+  Table& operator=(const Table& other) = delete;
+
+  /// A fully materialized private copy sharing no partition (and no
+  /// columnar view) with `this` — the baseline Catalog::Clone builds on.
+  std::shared_ptr<Table> DeepCopy() const;
 
   uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -83,14 +108,17 @@ class Table {
 
   /// Number of physical row slots (live + tombstoned). Iterate [0, NumRows())
   /// and filter with IsLive() to visit the instance.
-  size_t NumRows() const { return rows_.size(); }
+  size_t NumRows() const { return num_slots_; }
   /// Number of live (non-deleted) rows — the cardinality of the relation.
   size_t NumLiveRows() const { return num_live_; }
-  const Row& row(size_t i) const { return rows_[i]; }
-  const std::vector<Row>& rows() const { return rows_; }
+  const Row& row(size_t i) const {
+    return chunks_[i >> kChunkShift]->rows[i & kChunkMask];
+  }
 
   /// True when slot `i` holds a live row (false once deleted).
-  bool IsLive(size_t i) const { return i < live_.size() && live_[i]; }
+  bool IsLive(size_t i) const {
+    return i < num_slots_ && chunks_[i >> kChunkShift]->live[i & kChunkMask];
+  }
 
   /// Coerces `values` to the column types — the canonical stored form that
   /// Insert() writes and Find() probes with. Errors on arity mismatch or
@@ -126,23 +154,95 @@ class Table {
   std::shared_ptr<const TableColumns> columnar() const;
 
   /// Rough resident size of this table in bytes: rows (including string
-  /// payloads, SSO-aware), tombstone bits, the full-row hash index with its
-  /// bucket array, and the memoized columnar view's buffers. Used by the
-  /// per-snapshot memory accounting (Catalog::ApproxBytes, `.mem`).
+  /// payloads, SSO-aware), tombstone bits, the index shards' cell arrays,
+  /// and the memoized columnar view's buffers. Used by the per-snapshot
+  /// memory accounting (Catalog::ApproxBytes, `.mem`).
   size_t ApproxBytes() const;
 
+  /// Adds the bytes of every piece of storage not already in `seen` — the
+  /// table header (keyed by `this`), each row chunk, each index shard, the
+  /// columnar view (keyed by object identity) — to `*bytes`, inserting as
+  /// it goes. Accumulating several snapshots against one `seen` set yields
+  /// their true combined footprint under structural sharing.
+  void AccumulateApproxBytes(std::unordered_set<const void*>* seen,
+                             size_t* bytes) const;
+
+  /// Inserts the identity of every piece of storage AccumulateApproxBytes
+  /// counts into `seen`, without sizing anything.
+  void CollectStorageIdentity(std::unordered_set<const void*>* seen) const;
+
+  /// Identity of each row chunk, in chunk order — lets tests assert which
+  /// chunks two tables share.
+  std::vector<const void*> ChunkPointers() const;
+  /// Identity of each index shard, in shard order (null for a shard no row
+  /// has hashed to yet).
+  std::vector<const void*> IndexShardPointers() const;
+
  private:
+  static constexpr uint32_t kChunkMask = kChunkSlots - 1;
+  /// The top bits of a row's index hash pick its shard.
+  static constexpr unsigned kShardShift = 58;
+  static_assert(kIndexShards == size_t{1} << (64 - kShardShift));
+
+  /// Copy-on-write mark carried by every partition. Set (on the partition,
+  /// so every Table referencing it sees it) when a Table copy starts sharing
+  /// the partition, and never cleared: a marked partition is immutable and
+  /// the next writer clones it. A clone starts unmarked.
+  struct CowMark {
+    CowMark() = default;
+    CowMark(const CowMark&) {}
+    CowMark& operator=(const CowMark&) = delete;
+    bool IsSet() const { return set.load(std::memory_order_acquire); }
+    void Set() const { set.store(true, std::memory_order_release); }
+    mutable std::atomic<bool> set{false};
+  };
+
+  /// kChunkSlots consecutive row slots and their liveness bits (the last
+  /// chunk may be partly filled).
+  struct RowChunk {
+    std::vector<Row> rows;
+    std::vector<bool> live;
+    CowMark shared;
+  };
+
+  /// One hash shard of the full-row index: open addressing with linear
+  /// probing over a power-of-two cell array. A cell packs the row hash's
+  /// low 32 bits (a tag that also picks the home cell) above slot + 1; 0
+  /// is an empty cell. An entry holds the slot, not a copy of the row —
+  /// equality is checked against the stored row. Entries are never removed
+  /// (a tombstoned row keeps its entry so a re-insert resurrects the old
+  /// RowId), so probing needs no deletion markers.
+  struct IndexShard {
+    std::vector<uint64_t> cells;
+    size_t size = 0;
+    CowMark shared;
+  };
+
+  static uint64_t IndexHash(const Row& row);
+
+  /// Slot holding exactly `row` (live or tombstoned), if any; `hash` is
+  /// IndexHash(row).
+  std::optional<uint32_t> Lookup(const Row& row, uint64_t hash) const;
+  void IndexInsert(uint64_t hash, uint32_t slot);
+
+  /// Copy-on-write accessors: clone the partition iff it is marked shared.
+  RowChunk* MutableChunk(size_t ci);
+  IndexShard* MutableShard(size_t si);
+
+  /// Marks every partition shared (the write side of a sharing copy).
+  void MarkShared() const;
+
+  std::shared_ptr<const TableColumns> MemoizedColumnar() const;
   void InvalidateColumnar();
 
   uint32_t id_;
   std::string name_;
   Schema schema_;
-  std::vector<Row> rows_;
-  std::vector<bool> live_;
+  std::vector<std::shared_ptr<RowChunk>> chunks_;
+  // Full-row index enforcing set semantics and serving Find().
+  std::array<std::shared_ptr<IndexShard>, kIndexShards> shards_{};
+  size_t num_slots_ = 0;
   size_t num_live_ = 0;
-  // Full-row hash index enforcing set semantics and serving Find(); entries
-  // for tombstoned rows are kept so a re-insert resurrects the old RowId.
-  std::unordered_map<Row, uint32_t, RowHasher, RowEq> index_;
   // Memoized columnar image; guarded because readers materialize it lazily
   // on const snapshot-shared tables from concurrent query threads.
   mutable std::mutex columnar_mu_;

@@ -2,14 +2,18 @@
 // with it: ColumnVector/ColumnBatch value fidelity (hash/equality/compare
 // parity with Value), the lazily-materialized columnar view and its
 // invalidation rules, Table::Find's probe coercion (mixed-type literals
-// must locate canonical rows — previously a silent index miss), and the
-// ApproxBytes accounting (index bucket array, SSO-aware strings, columnar
-// view buffers).
+// must locate canonical rows — previously a silent index miss), the
+// chunked copy-on-write row storage (chunk-boundary slots, partition
+// sharing, Catalog::Clone independence), and the ApproxBytes accounting
+// (SSO-aware strings, columnar view buffers).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "db/database.h"
 #include "storage/column_batch.h"
@@ -171,12 +175,137 @@ TEST(TableFindTest, DeleteWithMixedTypeLiteralActuallyDeletes) {
   EXPECT_EQ(rs.value().NumRows(), 0u);
 }
 
+// --- Chunked copy-on-write storage ----------------------------------------
+
+Row IntStrRow(int64_t i) {
+  return {Value::Int(i), Value::String("r" + std::to_string(i))};
+}
+
+/// A table of `n` rows (i, "ri"): row i sits in slot i.
+Table FilledTable(uint32_t id, size_t n) {
+  Table t(id, "t" + std::to_string(id), IntStrSchema());
+  for (size_t i = 0; i < n; ++i) {
+    auto ins = t.Insert(IntStrRow(static_cast<int64_t>(i)));
+    EXPECT_TRUE(ins.ok() && ins.value().first.row == i) << i;
+  }
+  return t;
+}
+
+TEST(TableChunkTest, FindDeleteResurrectAtChunkBoundaries) {
+  constexpr size_t kRows = Table::kChunkSlots + 8;
+  Table t = FilledTable(0, kRows);
+  ASSERT_EQ(t.NumRows(), kRows);
+  ASSERT_EQ(t.ChunkPointers().size(), 2u);
+  for (uint32_t slot : {1023u, 1024u, 1025u}) {
+    SCOPED_TRACE(slot);
+    Row stored = IntStrRow(slot);
+    EXPECT_EQ(t.row(slot), stored);
+    // Canonical and coerced probes (a DOUBLE literal on the INT column).
+    Row coerced{Value::Double(static_cast<double>(slot)), stored[1]};
+    ASSERT_TRUE(t.Find(stored).has_value());
+    EXPECT_EQ(t.Find(stored)->row, slot);
+    ASSERT_TRUE(t.Find(coerced).has_value());
+    EXPECT_EQ(t.Find(coerced)->row, slot);
+
+    ASSERT_TRUE(t.Delete(slot));
+    EXPECT_FALSE(t.Delete(slot)) << "already tombstoned";
+    EXPECT_FALSE(t.IsLive(slot));
+    EXPECT_FALSE(t.Find(stored).has_value());
+    EXPECT_FALSE(t.Find(coerced).has_value());
+    EXPECT_EQ(t.NumLiveRows(), kRows - 1);
+
+    // Resurrection through the coerced form: same slot, instance changed.
+    auto back = t.Insert(coerced);
+    ASSERT_OK(back.status());
+    EXPECT_EQ(back.value().first.row, slot);
+    EXPECT_TRUE(back.value().second);
+    EXPECT_TRUE(t.IsLive(slot));
+    EXPECT_EQ(t.NumLiveRows(), kRows);
+    EXPECT_EQ(t.NumRows(), kRows) << "resurrection must not add a slot";
+    // A live duplicate is a no-op.
+    auto dup = t.Insert(stored);
+    ASSERT_OK(dup.status());
+    EXPECT_EQ(dup.value().first.row, slot);
+    EXPECT_FALSE(dup.value().second);
+  }
+  EXPECT_FALSE(t.IsLive(kRows)) << "past the last slot";
+  EXPECT_FALSE(t.Find(IntStrRow(kRows)).has_value());
+}
+
+TEST(TableChunkTest, CopySharesPartitionsAndWritesCloneOnlyTouchedOnes) {
+  Table t = FilledTable(0, 4 * Table::kChunkSlots + 100);
+  Table copy(t);
+  EXPECT_EQ(CountDiffering(t.ChunkPointers(), copy.ChunkPointers()), 0u);
+  EXPECT_EQ(CountDiffering(t.IndexShardPointers(), copy.IndexShardPointers()),
+            0u);
+
+  // An insert clones the tail chunk and the one shard the row hashes to.
+  ASSERT_OK(copy.Insert(IntStrRow(999999)).status());
+  std::vector<const void*> chunks = copy.ChunkPointers();
+  EXPECT_EQ(CountDiffering(t.ChunkPointers(), chunks), 1u);
+  EXPECT_NE(t.ChunkPointers().back(), chunks.back());
+  EXPECT_EQ(CountDiffering(t.IndexShardPointers(), copy.IndexShardPointers()),
+            1u);
+  // A delete in a middle chunk clones only that chunk.
+  ASSERT_TRUE(copy.Delete(2 * Table::kChunkSlots + 5));
+  EXPECT_EQ(CountDiffering(t.ChunkPointers(), copy.ChunkPointers()), 2u);
+  EXPECT_NE(t.ChunkPointers()[2], copy.ChunkPointers()[2]);
+
+  // The source never sees the copy's writes, and vice versa.
+  EXPECT_FALSE(t.Find(IntStrRow(999999)).has_value());
+  EXPECT_TRUE(t.IsLive(2 * Table::kChunkSlots + 5));
+  ASSERT_TRUE(t.Delete(7));
+  EXPECT_TRUE(copy.IsLive(7));
+  EXPECT_EQ(t.NumRows() + 1, copy.NumRows());
+}
+
+TEST(CatalogCloneTest, CloneSharesNoPartitionAndWritesNeverShowThrough) {
+  Catalog source;
+  auto created = source.CreateTable("big", IntStrSchema());
+  ASSERT_OK(created.status());
+  Table* big = created.value();
+  constexpr size_t kRows = 3 * Table::kChunkSlots + 1;
+  for (size_t i = 0; i < kRows; ++i) {
+    ASSERT_OK(big->Insert(IntStrRow(static_cast<int64_t>(i))).status());
+  }
+  Catalog clone = source.Clone();
+  const Table& a = std::as_const(source).table(0);
+  const Table& b = std::as_const(clone).table(0);
+  EXPECT_NE(&a, &b);
+  std::vector<const void*> a_parts = a.ChunkPointers();
+  std::vector<const void*> a_shards = a.IndexShardPointers();
+  a_parts.insert(a_parts.end(), a_shards.begin(), a_shards.end());
+  std::unordered_set<const void*> a_set(a_parts.begin(), a_parts.end());
+  a_set.erase(nullptr);
+  std::vector<const void*> b_parts = b.ChunkPointers();
+  std::vector<const void*> b_shards = b.IndexShardPointers();
+  b_parts.insert(b_parts.end(), b_shards.begin(), b_shards.end());
+  for (const void* p : b_parts) {
+    if (p == nullptr) continue;
+    EXPECT_EQ(a_set.count(p), 0u) << "shared partition";
+  }
+
+  // Writes on either side stay on that side.
+  ASSERT_TRUE(source.MutableTable(0).Delete(1024));
+  ASSERT_OK(source.MutableTable(0).Insert(IntStrRow(-1)).status());
+  EXPECT_TRUE(b.IsLive(1024));
+  EXPECT_FALSE(b.Find(IntStrRow(-1)).has_value());
+  EXPECT_EQ(b.NumRows(), kRows);
+  ASSERT_TRUE(clone.MutableTable(0).Delete(2));
+  ASSERT_OK(clone.MutableTable(0).Insert(IntStrRow(-2)).status());
+  EXPECT_TRUE(a.IsLive(2));
+  EXPECT_FALSE(a.Find(IntStrRow(-2)).has_value());
+  EXPECT_FALSE(b.Find(IntStrRow(-1)).has_value());
+  EXPECT_EQ(a.NumRows(), kRows + 1);
+  EXPECT_EQ(b.NumRows(), kRows + 1);
+}
+
 // --- ApproxBytes accounting ----------------------------------------------
 
 TEST(TableApproxBytesTest, CountsIndexBucketsStringsAndColumnarView) {
   Table t(0, "t", IntStrSchema());
   size_t empty = t.ApproxBytes();
-  // The hash index's bucket array exists even before any insert.
+  // The table header is counted even before any insert.
   EXPECT_GT(empty, 0u);
 
   // Long (heap-allocated) strings must dominate short (SSO) ones.

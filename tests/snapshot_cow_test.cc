@@ -1,7 +1,8 @@
 // Structural-sharing (copy-on-write) snapshot publication tests:
 //
 //   * untouched tables and hypergraph partitions are pointer-shared across
-//     epochs, and only the touched state is republished;
+//     epochs, and only the touched state is republished — within a touched
+//     table, only the row chunk and index shard a write lands in;
 //   * pinned sessions are bit-for-bit unaffected by later commits;
 //   * a randomized differential proves the COW representation equal to the
 //     deep-clone baseline (Catalog::Clone + ConflictHypergraph::DeepCopy)
@@ -77,6 +78,16 @@ std::string SeedRows(size_t per_table, size_t conflict_every) {
   return sql;
 }
 
+/// One script inserting `n` conflict-free rows (k, k) for k in
+/// [first, first + n) into `table` — in slot order when the keys are fresh.
+std::string KeyedRows(const std::string& table, size_t first, size_t n) {
+  std::string sql;
+  for (size_t k = first; k < first + n; ++k) {
+    sql += StrFormat("INSERT INTO %s VALUES (%zu, %zu);", table.c_str(), k, k);
+  }
+  return sql;
+}
+
 void ExpectGraphsIdentical(const ConflictHypergraph& a,
                            const ConflictHypergraph& b) {
   ASSERT_EQ(a.NumEdgeSlots(), b.NumEdgeSlots());
@@ -142,6 +153,72 @@ TEST(CowSharing, UntouchedTablesArePointerSharedAcrossEpochs) {
   size_t full = after->ApproxBytes();
   EXPECT_GT(marginal, 0u);
   EXPECT_LT(marginal, full / 2) << "a 1-table write republished too much";
+}
+
+TEST(CowSharing, OneRowInsertClonesOnlyTheTailChunkAndOneIndexShard) {
+  QueryService service(SmallPool());
+  ASSERT_OK(service.Commit(MultiTableSchema()));
+  // t0 spans five chunks; the last one is partly filled.
+  constexpr size_t kRows = 4 * Table::kChunkSlots + 404;
+  ASSERT_OK(service.Commit(KeyedRows("t0", 0, kRows)));
+
+  SnapshotPtr before = service.snapshot();
+  ASSERT_OK(service.Commit("INSERT INTO t0 VALUES (1, 777)"));  // conflicts
+  SnapshotPtr after = service.snapshot();
+
+  const Table& old_t0 = *before->catalog().GetTable("t0").value();
+  const Table& new_t0 = *after->catalog().GetTable("t0").value();
+  ASSERT_EQ(new_t0.NumRows(), kRows + 1);
+  std::vector<const void*> old_chunks = old_t0.ChunkPointers();
+  std::vector<const void*> new_chunks = new_t0.ChunkPointers();
+  ASSERT_EQ(old_chunks.size(), 5u);
+  ASSERT_EQ(new_chunks.size(), 5u);
+  for (size_t c = 0; c + 1 < old_chunks.size(); ++c) {
+    EXPECT_EQ(old_chunks[c], new_chunks[c]) << "chunk " << c << " cloned";
+  }
+  EXPECT_NE(old_chunks.back(), new_chunks.back()) << "tail chunk not cloned";
+  EXPECT_EQ(CountDiffering(old_t0.IndexShardPointers(),
+                           new_t0.IndexShardPointers()),
+            1u);
+
+  // The epoch's marginal bytes are a small fraction of t0 alone.
+  std::unordered_set<const void*> seen;
+  before->CollectStorageIdentity(&seen);
+  size_t marginal = after->AccumulateApproxBytes(&seen);
+  EXPECT_GT(marginal, 0u);
+  EXPECT_LT(marginal, old_t0.ApproxBytes() / 3)
+      << "a one-row insert republished too much of t0";
+}
+
+TEST(CowSharing, OneRowDeleteInAMiddleChunkClonesOnlyThatChunk) {
+  QueryService service(SmallPool());
+  ASSERT_OK(service.Commit(MultiTableSchema()));
+  constexpr size_t kRows = 4 * Table::kChunkSlots + 404;
+  ASSERT_OK(service.Commit(KeyedRows("t0", 0, kRows)));
+
+  SnapshotPtr before = service.snapshot();
+  constexpr size_t kVictim = 2 * Table::kChunkSlots + 77;  // chunk 2
+  ASSERT_OK(service.Commit(StrFormat("DELETE FROM t0 WHERE a = %zu", kVictim)));
+  SnapshotPtr after = service.snapshot();
+
+  const Table& old_t0 = *before->catalog().GetTable("t0").value();
+  const Table& new_t0 = *after->catalog().GetTable("t0").value();
+  EXPECT_TRUE(old_t0.IsLive(kVictim));
+  EXPECT_FALSE(new_t0.IsLive(kVictim));
+  std::vector<const void*> old_chunks = old_t0.ChunkPointers();
+  std::vector<const void*> new_chunks = new_t0.ChunkPointers();
+  ASSERT_EQ(old_chunks.size(), new_chunks.size());
+  for (size_t c = 0; c < old_chunks.size(); ++c) {
+    if (c == 2) {
+      EXPECT_NE(old_chunks[c], new_chunks[c]) << "deleted-in chunk shared";
+    } else {
+      EXPECT_EQ(old_chunks[c], new_chunks[c]) << "chunk " << c << " cloned";
+    }
+  }
+  EXPECT_EQ(CountDiffering(old_t0.IndexShardPointers(),
+                           new_t0.IndexShardPointers()),
+            0u)
+      << "a delete must not touch the index";
 }
 
 TEST(CowSharing, NoOpDmlDoesNotRepublishTables) {
@@ -261,6 +338,11 @@ TEST(CowDifferential, RandomizedCowVsDeepCloneAndSerialOracle) {
 
   commit_both(MultiTableSchema());
   commit_both(SeedRows(24, 6));
+  // t0 and t2 cross chunk boundaries (about 3 and 2 chunks), so churn lands
+  // in first, middle and tail chunks.
+  constexpr size_t kBigKey = 1000;
+  commit_both(KeyedRows("t0", kBigKey, 2 * Table::kChunkSlots + 100));
+  commit_both(KeyedRows("t2", kBigKey, Table::kChunkSlots + 100));
 
   const std::vector<std::string> queries = {
       "SELECT * FROM t0",
@@ -278,6 +360,12 @@ TEST(CowDifferential, RandomizedCowVsDeepCloneAndSerialOracle) {
   std::vector<Frozen> history;
 
   Rng rng(20260729);
+  // Half the churn keys fall in the big tables' wide key range.
+  auto key = [&]() -> unsigned long long {
+    return rng.Uniform(2) == 0 ? rng.Uniform(24)
+                               : kBigKey + rng.Uniform(2 * Table::kChunkSlots +
+                                                       200);
+  };
   for (int round = 0; round < 24; ++round) {
     // A small random churn script: conflicting inserts, deletes, updates,
     // FK parent/child churn; one round flips a constraint (DDL re-detect).
@@ -285,18 +373,15 @@ TEST(CowDifferential, RandomizedCowVsDeepCloneAndSerialOracle) {
     size_t t = rng.Uniform(kFdTables);
     switch (rng.Uniform(round == 12 ? 5 : 4)) {
       case 0:
-        script = StrFormat("INSERT INTO t%zu VALUES (%llu, %llu)", t,
-                           (unsigned long long)rng.Uniform(24),
+        script = StrFormat("INSERT INTO t%zu VALUES (%llu, %llu)", t, key(),
                            (unsigned long long)(100 + rng.Uniform(50)));
         break;
       case 1:
-        script = StrFormat("DELETE FROM t%zu WHERE a = %llu", t,
-                           (unsigned long long)rng.Uniform(24));
+        script = StrFormat("DELETE FROM t%zu WHERE a = %llu", t, key());
         break;
       case 2:
         script = StrFormat("UPDATE t%zu SET b = %llu WHERE a = %llu", t,
-                           (unsigned long long)rng.Uniform(200),
-                           (unsigned long long)rng.Uniform(24));
+                           (unsigned long long)rng.Uniform(200), key());
         break;
       case 3:
         script = rng.Uniform(2) == 0

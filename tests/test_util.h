@@ -42,4 +42,16 @@ inline std::vector<Row> SortedRows(std::vector<Row> rows) {
   return rows;
 }
 
+/// Number of positions at which two equally long partition-identity lists
+/// (e.g. Table::ChunkPointers of two epochs) differ.
+inline size_t CountDiffering(const std::vector<const void*>& a,
+                             const std::vector<const void*>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  size_t differing = 0;
+  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i] != b[i]) ++differing;
+  }
+  return differing;
+}
+
 }  // namespace hippo

@@ -19,7 +19,8 @@
 //   .mode plain|cqa|core|rewriting|allrepairs   answering mode for SELECTs
 //   .stats on|off                               print pipeline statistics
 //   .conflicts                                  hypergraph summary
-//   .mem                                        catalog/hypergraph memory
+//   .mem                                        catalog/hypergraph memory,
+//                                               bytes the last commit wrote
 //   .constraints                                list declared constraints
 //   .repairs [limit]                            count repairs
 //   .agg <fn> <table> [column]                  range-consistent aggregate
@@ -51,6 +52,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "benchutil/report.h"
@@ -174,7 +176,7 @@ class Shell {
           ".mode plain|cqa|core|rewriting|allrepairs   answering mode\n"
           ".stats on|off        pipeline statistics\n"
           ".conflicts           hypergraph summary\n"
-          ".mem                 catalog/hypergraph resident memory\n"
+          ".mem                 resident memory; bytes the last commit wrote\n"
           ".constraints         declared constraints\n"
           ".repairs [limit]     number of repairs\n"
           ".agg <fn> <table> [column]   range-consistent aggregate\n"
@@ -291,6 +293,17 @@ class Shell {
       std::printf("hypergraph: %zu edges, %s\n",
                   snap->hypergraph().NumEdges(),
                   bench::FormatBytes(snap->hypergraph().ApproxBytes()).c_str());
+      if (pre_commit_ != nullptr) {
+        // Marginal bytes: the row chunks, index shards and graph partitions
+        // written since the last commit; everything else is shared.
+        std::unordered_set<const void*> seen;
+        pre_commit_->CollectStorageIdentity(&seen);
+        std::printf("since epoch %llu (before the last commit): %s new, the "
+                    "rest shared\n",
+                    (unsigned long long)pre_commit_->epoch(),
+                    bench::FormatBytes(snap->AccumulateApproxBytes(&seen))
+                        .c_str());
+      }
       return true;
     }
     if (cmd == ".constraints") {
@@ -535,12 +548,14 @@ class Shell {
         EqualsIgnoreCase(std::string(text, start, 6), "select");
     auto t0 = std::chrono::steady_clock::now();
     if (!is_select) {
+      SnapshotPtr before = service_.snapshot();
       CommitReceipt receipt = service_.CommitAsync(text).get();
       RecordStatement("execute", t0);
       if (!receipt.status.ok()) {
         std::printf("error: %s\n", receipt.status.ToString().c_str());
         return;
       }
+      pre_commit_ = std::move(before);
       std::printf("committed: epoch %llu (group of %zu%s)\n",
                   (unsigned long long)receipt.epoch, receipt.group_size,
                   receipt.phases.redetected ? ", re-detected" : "");
@@ -624,6 +639,10 @@ class Shell {
 
   size_t threads_;
   QueryService service_;
+  /// The epoch current before the last successful commit, kept for `.mem`'s
+  /// marginal report; structural sharing makes holding it cost only what
+  /// that commit wrote.
+  SnapshotPtr pre_commit_;
   Mode mode_ = Mode::kCqa;
   RouteMode route_ = RouteMode::kAuto;
   bool stats_enabled_ = false;
