@@ -190,7 +190,7 @@ void PrintDensitySweepTable() {
 /// aggregated hippo stats).
 std::pair<double, cqa::HippoStats> DriveMix(RouteMode route, size_t ops) {
   ServiceOptions options;
-  options.num_workers = 2;
+  options.threads = 2;
   QueryService service(options);
   Status st =
       service.Commit(BlockWorkloadSql(Rows(), DenseBlock(), kDenseRate));

@@ -61,7 +61,7 @@ const char* ConfigName(ObsConfig c) {
 /// the wall seconds of the request stream (excluding the bulk load).
 double DriveMixOnce(ObsConfig config) {
   ServiceOptions options;
-  options.num_workers = 2;
+  options.threads = 2;
   options.enable_metrics = config != ObsConfig::kOff;
   QueryService service(options);
 

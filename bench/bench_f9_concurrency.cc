@@ -52,7 +52,7 @@ std::string ServedQuery() { return QuerySet::UnionOfDifferences(); }
 
 std::unique_ptr<QueryService> BootService(size_t workers) {
   ServiceOptions options;
-  options.num_workers = workers;
+  options.threads = workers;
   auto service = std::make_unique<QueryService>(options);
   WorkloadSpec spec;
   spec.tuples_per_relation = Rows();
@@ -230,7 +230,7 @@ void PrintDdlInterleave() {
                    "ddl wall", "epochs during ddl"});
   for (bool async : {false, true}) {
     ServiceOptions options;
-    options.num_workers = 2;
+    options.threads = 2;
     options.async_bulk_redetect = async;
     auto service = std::make_unique<QueryService>(options);
     WorkloadSpec spec;

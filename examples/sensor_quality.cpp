@@ -51,7 +51,7 @@ int main() {
               dashboard.value().ToString().c_str());
 
   // 2. What do the gateways actually disagree on?
-  auto report = hippo::GenerateConflictReport(&db);
+  auto report = hippo::GenerateConflictReport(db.View().value());
   std::printf("%s\n", report.value().c_str());
 
   // 3. Certain bounds per sensor: the total consumption interval across

@@ -47,9 +47,8 @@ struct HippoOptions {
   /// this many worker threads (1 = sequential; 0 = one per hardware
   /// thread, the same ResolveThreadCount convention as DetectOptions).
   /// Results are bit-identical regardless of thread count.
-  /// Service callers: service::EffectiveOptions::Resolve produces a
-  /// HippoOptions with this field aligned to ServiceOptions::threads —
-  /// prefer that one resolution point over setting it per call site.
+  /// Set per request: service::ServiceOptions::threads sizes the service's
+  /// pool and detection but does not reach this field.
   size_t num_threads = 1;
 
   /// Conflict-detection options (threads, FD sharding, fast path) used when

@@ -1,6 +1,7 @@
-// Human-readable conflict report over a Database: the inspection side of
-// the demo ("demonstrate that ... we can extract more information from an
-// inconsistent database"). Backs the `hippo_check` command-line tool.
+// Human-readable conflict report over a read view (a Database's View() or
+// a service::Snapshot): the inspection side of the demo ("demonstrate that
+// ... we can extract more information from an inconsistent database").
+// Backs the `hippo_check` command-line tool and the shell's `.report`.
 #pragma once
 
 #include <string>
@@ -9,7 +10,7 @@
 
 namespace hippo {
 
-class Database;
+class ReadView;
 
 struct ConflictReportOptions {
   /// Maximum example violations rendered per constraint.
@@ -21,8 +22,8 @@ struct ConflictReportOptions {
 
 /// Renders: per-constraint violation counts with example witnesses (tuple
 /// values, not just RowIds), hypergraph statistics, the consistency
-/// verdict, and the number of repairs. Runs conflict detection if needed.
+/// verdict, and the number of repairs. `view` must carry a hypergraph.
 Result<std::string> GenerateConflictReport(
-    Database* db, const ConflictReportOptions& options = {});
+    const ReadView& view, const ConflictReportOptions& options = {});
 
 }  // namespace hippo

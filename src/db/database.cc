@@ -6,13 +6,7 @@
 #include "common/str_util.h"
 #include "expr/binder.h"
 #include "expr/evaluator.h"
-#include "cqa/envelope.h"
 #include "io/csv.h"
-#include "plan/optimizer.h"
-#include "plan/planner.h"
-#include "plan/router.h"
-#include "plan/sjud.h"
-#include "rewriting/rewriter.h"
 #include "sql/parser.h"
 
 namespace hippo {
@@ -404,87 +398,98 @@ Status Database::AddForeignKey(ForeignKeyConstraint fk) {
   return Status::OK();
 }
 
-Result<PlanNodePtr> Database::PlanParsed(const sql::SelectStmt& stmt) const {
-  Planner planner(catalog_);
-  return planner.PlanSelect(stmt);
-}
-
 Result<PlanNodePtr> Database::Plan(const std::string& select_sql) const {
-  HIPPO_ASSIGN_OR_RETURN(sql::Statement stmt,
-                         sql::ParseStatement(select_sql));
-  auto* sel = std::get_if<sql::SelectStmt>(&stmt.node);
-  if (sel == nullptr) {
-    return Status::InvalidArgument("expected a SELECT statement");
-  }
-  return PlanParsed(*sel);
+  return ViewOver(nullptr).Plan(select_sql);
 }
 
 Result<std::string> Database::Explain(const std::string& select_sql) const {
-  HIPPO_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(select_sql));
-  std::string out = "-- plan --\n" + plan->ToString();
-  if (optimizer_enabled_) {
-    PlanNodePtr optimized = OptimizePlan(*plan);
-    if (optimized->ToString() != plan->ToString()) {
-      out += "-- optimized (plain evaluation) --\n" + optimized->ToString();
-    }
-  }
-  Status sjud = CheckSjudSupported(*plan);
-  if (sjud.ok()) {
-    PlanNodePtr env = cqa::BuildEnvelope(*plan);
-    out += "-- envelope (candidates) --\n" + env->ToString();
-  } else {
-    out += "-- not in the SJUD class: " + sjud.message() + "\n";
-  }
-  rewriting::QueryRewriter rewriter(catalog_, constraints_, foreign_keys_);
-  auto rewritten = rewriter.Rewrite(*plan);
-  if (rewritten.ok()) {
-    out += "-- rewriting baseline --\n" + rewritten.value()->ToString();
-  } else {
-    out += "-- rewriting inapplicable: " + rewritten.status().message() +
-           "\n";
-  }
+  // EXPLAIN never detects: classify against the cached graph, if any.
+  const ConflictHypergraph* graph = nullptr;
   {
-    // Route classification against the cached hypergraph (if any). A cold
-    // cache is classified conservatively: the conflict-free route needs
-    // edge information and the KW completeness gate needs the graph, so
-    // such queries report the prover route until detection has run.
-    const ConflictHypergraph* graph = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(hypergraph_mu_);
-      if (hypergraph_.has_value()) graph = &hypergraph_.value();
-    }
-    auto route = ClassifyRoute(*plan, catalog_, &constraints_, &foreign_keys_,
-                               graph, RouteMode::kAuto);
-    if (route.ok()) {
-      out += std::string("-- route --\n") + RouteKindName(route.value().kind) +
-             ": " + route.value().reason;
-      if (graph == nullptr) out += " [hypergraph not yet built]";
-      out += "\n";
-    } else {
-      out += "-- route unavailable: " + route.status().message() + "\n";
-    }
+    std::lock_guard<std::mutex> lock(hypergraph_mu_);
+    if (hypergraph_.has_value()) graph = &hypergraph_.value();
   }
-  return out;
+  return ViewOver(graph).Explain(select_sql);
 }
 
 Result<std::string> Database::ExplainAnalyze(const std::string& select_sql,
                                              const cqa::HippoOptions& options,
                                              cqa::HippoStats* stats) {
-  obs::TraceSpan root("query");
-  cqa::HippoOptions traced = options;
-  traced.trace = &root;
-  HIPPO_ASSIGN_OR_RETURN(ResultSet result,
-                         ConsistentAnswers(select_sql, traced, stats));
-  root.SetAttr("answers", static_cast<int64_t>(result.rows.size()));
-  root.End();
-  return "-- explain analyze --\n" + root.Render();
+  HIPPO_ASSIGN_OR_RETURN(ReadView view, ViewFor(options, stats));
+  return view.ExplainAnalyze(select_sql, options, stats);
 }
 
 Result<ResultSet> Database::Query(const std::string& select_sql) const {
-  HIPPO_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(select_sql));
-  if (optimizer_enabled_) plan = OptimizePlan(*plan);
-  ExecContext ctx{&catalog_, nullptr};
-  return ::hippo::Execute(*plan, ctx);
+  return ViewOver(nullptr).Query(select_sql);
+}
+
+Result<ResultSet> Database::QueryOverCore(const std::string& select_sql) {
+  HIPPO_ASSIGN_OR_RETURN(ReadView view, View());
+  return view.QueryOverCore(select_sql);
+}
+
+Result<ResultSet> Database::ConsistentAnswers(const std::string& select_sql,
+                                              const cqa::HippoOptions& options,
+                                              cqa::HippoStats* stats) {
+  HIPPO_ASSIGN_OR_RETURN(ReadView view, ViewFor(options, stats));
+  return view.ConsistentAnswers(select_sql, options, stats);
+}
+
+Result<ResultSet> Database::ConsistentAnswersByRewriting(
+    const std::string& select_sql) {
+  return ViewOver(nullptr).ConsistentAnswersByRewriting(select_sql);
+}
+
+Result<ResultSet> Database::ConsistentAnswersAllRepairs(
+    const std::string& select_sql, size_t repair_limit) {
+  HIPPO_ASSIGN_OR_RETURN(ReadView view, View());
+  return view.ConsistentAnswersAllRepairs(select_sql, repair_limit);
+}
+
+Result<cqa::AggRange> Database::RangeConsistentAggregate(
+    const std::string& table, cqa::AggFn fn, const std::string& column,
+    cqa::AggStats* stats) {
+  HIPPO_ASSIGN_OR_RETURN(ReadView view, View());
+  return view.RangeConsistentAggregate(table, fn, column, stats);
+}
+
+Result<std::vector<cqa::GroupRange>> Database::GroupedRangeConsistentAggregate(
+    const std::string& table, cqa::AggFn fn, const std::string& column,
+    const std::vector<std::string>& group_columns, cqa::AggStats* stats) {
+  HIPPO_ASSIGN_OR_RETURN(ReadView view, View());
+  return view.GroupedRangeConsistentAggregate(table, fn, column,
+                                              group_columns, stats);
+}
+
+Result<size_t> Database::CountRepairs(size_t limit) {
+  HIPPO_ASSIGN_OR_RETURN(ReadView view, View());
+  return view.CountRepairs(limit);
+}
+
+Result<bool> Database::IsConsistent() {
+  HIPPO_ASSIGN_OR_RETURN(ReadView view, View());
+  return view.IsConsistent();
+}
+
+Result<ReadView> Database::View() {
+  HIPPO_ASSIGN_OR_RETURN(const ConflictHypergraph* graph, Hypergraph());
+  return ViewOver(graph);
+}
+
+Result<ReadView> Database::ViewFor(const cqa::HippoOptions& options,
+                                   cqa::HippoStats* stats) {
+  bool reused_cache = false;
+  HIPPO_ASSIGN_OR_RETURN(
+      const ConflictHypergraph* graph,
+      HypergraphWith(options.detect.value_or(detect_options_),
+                     &reused_cache));
+  if (stats != nullptr && options.detect.has_value() && reused_cache) {
+    // The caller asked for specific detection options but a cached graph
+    // was reused, so they had no effect; surface that instead of letting a
+    // mismatched DetectOptions masquerade as a detection change.
+    ++stats->detect_options_ignored;
+  }
+  return ViewOver(graph);
 }
 
 Result<const ConflictHypergraph*> Database::Hypergraph() {
@@ -555,111 +560,6 @@ std::unique_ptr<Database> Database::ForkShared() {
   // detection over its own state — that is the async round's background
   // re-detect.
   return fork;
-}
-
-Result<ResultSet> Database::QueryOverCore(const std::string& select_sql) {
-  HIPPO_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(select_sql));
-  HIPPO_ASSIGN_OR_RETURN(const ConflictHypergraph* graph, Hypergraph());
-  RepairEnumerator repairs(catalog_, *graph);
-  RowMask mask = repairs.CoreMask();
-  if (optimizer_enabled_) plan = OptimizePlan(*plan);
-  ExecContext ctx{&catalog_, &mask};
-  return ::hippo::Execute(*plan, ctx);
-}
-
-Result<ResultSet> Database::ConsistentAnswers(const std::string& select_sql,
-                                              const cqa::HippoOptions& options,
-                                              cqa::HippoStats* stats) {
-  HIPPO_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(select_sql));
-  bool reused_cache = false;
-  HIPPO_ASSIGN_OR_RETURN(
-      const ConflictHypergraph* graph,
-      HypergraphWith(options.detect.value_or(detect_options_),
-                     &reused_cache));
-  if (stats != nullptr && options.detect.has_value() && reused_cache) {
-    // The caller asked for specific detection options but a cached graph
-    // was reused, so they had no effect; surface that instead of letting a
-    // mismatched DetectOptions masquerade as a detection change.
-    ++stats->detect_options_ignored;
-  }
-  cqa::HippoEngine engine(catalog_, *graph, &constraints_, &foreign_keys_);
-  return engine.ConsistentAnswers(*plan, options, stats);
-}
-
-Result<ResultSet> Database::ConsistentAnswersByRewriting(
-    const std::string& select_sql) {
-  HIPPO_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(select_sql));
-  rewriting::QueryRewriter rewriter(catalog_, constraints_, foreign_keys_);
-  HIPPO_ASSIGN_OR_RETURN(PlanNodePtr rewritten, rewriter.Rewrite(*plan));
-  if (optimizer_enabled_) rewritten = OptimizePlan(*rewritten);
-  ExecContext ctx{&catalog_, nullptr};
-  return ::hippo::Execute(*rewritten, ctx);
-}
-
-Result<ResultSet> Database::ConsistentAnswersAllRepairs(
-    const std::string& select_sql, size_t repair_limit) {
-  HIPPO_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(select_sql));
-  if (optimizer_enabled_) plan = OptimizePlan(*plan);
-  HIPPO_ASSIGN_OR_RETURN(const ConflictHypergraph* graph, Hypergraph());
-  RepairEnumerator repairs(catalog_, *graph);
-  HIPPO_ASSIGN_OR_RETURN(std::vector<RowMask> masks,
-                         repairs.EnumerateMasks(repair_limit));
-  HIPPO_CHECK_MSG(!masks.empty(), "there is always at least one repair");
-
-  // Intersect the query results over all repairs.
-  ResultSet answers;
-  answers.schema = plan->schema();
-  bool first = true;
-  std::unordered_set<Row, RowHasher, RowEq> survivors;
-  for (const RowMask& mask : masks) {
-    ExecContext ctx{&catalog_, &mask};
-    HIPPO_ASSIGN_OR_RETURN(ResultSet rs, ::hippo::Execute(*plan, ctx));
-    if (first) {
-      survivors.insert(rs.rows.begin(), rs.rows.end());
-      first = false;
-      continue;
-    }
-    std::unordered_set<Row, RowHasher, RowEq> present(rs.rows.begin(),
-                                                      rs.rows.end());
-    for (auto it = survivors.begin(); it != survivors.end();) {
-      if (!present.count(*it)) {
-        it = survivors.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (survivors.empty()) break;
-  }
-  answers.rows.assign(survivors.begin(), survivors.end());
-  answers.SortRows();  // deterministic output
-  return answers;
-}
-
-Result<cqa::AggRange> Database::RangeConsistentAggregate(
-    const std::string& table, cqa::AggFn fn, const std::string& column,
-    cqa::AggStats* stats) {
-  HIPPO_ASSIGN_OR_RETURN(const ConflictHypergraph* graph, Hypergraph());
-  cqa::RangeAggregator aggregator(catalog_, *graph);
-  return aggregator.Range(table, fn, column, stats);
-}
-
-Result<std::vector<cqa::GroupRange>> Database::GroupedRangeConsistentAggregate(
-    const std::string& table, cqa::AggFn fn, const std::string& column,
-    const std::vector<std::string>& group_columns, cqa::AggStats* stats) {
-  HIPPO_ASSIGN_OR_RETURN(const ConflictHypergraph* graph, Hypergraph());
-  cqa::RangeAggregator aggregator(catalog_, *graph);
-  return aggregator.GroupedRange(table, fn, column, group_columns, stats);
-}
-
-Result<size_t> Database::CountRepairs(size_t limit) {
-  HIPPO_ASSIGN_OR_RETURN(const ConflictHypergraph* graph, Hypergraph());
-  RepairEnumerator repairs(catalog_, *graph);
-  return repairs.CountRepairs(limit);
-}
-
-Result<bool> Database::IsConsistent() {
-  HIPPO_ASSIGN_OR_RETURN(const ConflictHypergraph* graph, Hypergraph());
-  return graph->NumEdges() == 0;
 }
 
 }  // namespace hippo

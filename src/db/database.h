@@ -1,8 +1,8 @@
 // hippo::Database — the public facade of the library.
 //
 // Owns the catalog, the declared integrity constraints, and a lazily
-// maintained conflict hypergraph; exposes SQL execution plus the four ways
-// of answering a query over an inconsistent database that the paper's
+// maintained conflict hypergraph; exposes SQL execution plus the ways of
+// answering a query over an inconsistent database that the paper's
 // demonstration contrasts:
 //
 //   * Query()                      — ordinary evaluation, ignoring conflicts;
@@ -12,6 +12,9 @@
 //   * ConsistentAnswersByRewriting() — the ABC query-rewriting baseline;
 //   * ConsistentAnswersAllRepairs()  — exact evaluation over every repair
 //                                    (exponential; ground truth).
+//
+// Each read builds the lazy hypergraph when it needs it and forwards to
+// hippo::ReadView (db/read_view.h), which also backs service::Snapshot.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +29,7 @@
 #include "constraints/foreign_key.h"
 #include "cqa/aggregates.h"
 #include "cqa/engine.h"
+#include "db/read_view.h"
 #include "detect/detector.h"
 #include "detect/incremental.h"
 #include "exec/executor.h"
@@ -70,63 +74,47 @@ class Database {
   Status DropTable(const std::string& name);
 
   // --- querying --------------------------------------------------------------
+  //
+  // Each read forwards to the ReadView method of the same name (see there
+  // for semantics). Plan, Explain, Query and ConsistentAnswersByRewriting
+  // never build the hypergraph — Explain classifies the route against the
+  // cached graph when there is one; every other read builds it first.
 
-  /// Plans (and binds) a SELECT statement.
   Result<PlanNodePtr> Plan(const std::string& select_sql) const;
-
-  /// Renders the bound plan, its envelope, and (when applicable) the
-  /// rewritten plan of a SELECT statement — the EXPLAIN facility.
   Result<std::string> Explain(const std::string& select_sql) const;
 
-  /// EXPLAIN ANALYZE: Explain's execute-and-annotate mode. Runs the query
-  /// for real through ConsistentAnswers with a per-query trace attached
-  /// and renders the executed tree — route taken, then one line per span
-  /// (engine phases and executor operators) with wall time and output
-  /// cardinality. Answers are identical to an untraced run; `stats`
-  /// receives the same HippoStats ConsistentAnswers would produce.
+  /// Detects with `options.detect` on a cold cache, like ConsistentAnswers.
   Result<std::string> ExplainAnalyze(
       const std::string& select_sql,
       const cqa::HippoOptions& options = cqa::HippoOptions(),
       cqa::HippoStats* stats = nullptr);
 
-  /// Plain evaluation over the (possibly inconsistent) instance.
   Result<ResultSet> Query(const std::string& select_sql) const;
-
-  /// Evaluation over the "core": every conflicting tuple removed.
   Result<ResultSet> QueryOverCore(const std::string& select_sql);
 
-  /// Consistent answers via Hippo.
+  /// Detects with `options.detect` on a cold cache; a reused cache makes
+  /// an explicit one count in `stats->detect_options_ignored`.
   Result<ResultSet> ConsistentAnswers(
       const std::string& select_sql,
       const cqa::HippoOptions& options = cqa::HippoOptions(),
       cqa::HippoStats* stats = nullptr);
 
-  /// Consistent answers via the query-rewriting baseline (NotSupported for
-  /// queries/constraints outside its class).
   Result<ResultSet> ConsistentAnswersByRewriting(
       const std::string& select_sql);
-
-  /// Exact consistent answers by evaluating over every repair. Errors with
-  /// NotSupported when more than `repair_limit` repairs exist.
   Result<ResultSet> ConsistentAnswersAllRepairs(const std::string& select_sql,
                                                 size_t repair_limit = 100000);
-
-  /// Range-consistent answer to a scalar aggregate: the [glb, lub] interval
-  /// of `fn` over `table.column` across all repairs (closed form under the
-  /// clique-partition property, e.g. a single FD; exact enumeration
-  /// otherwise). `column` is ignored for COUNT.
   Result<cqa::AggRange> RangeConsistentAggregate(
       const std::string& table, cqa::AggFn fn, const std::string& column = "",
       cqa::AggStats* stats = nullptr);
-
-  /// Grouped variant: the [glb, lub] interval of `fn` per value of
-  /// `group_columns` (extension of the demo's reference [3]; closed form
-  /// when no conflict clique straddles two groups, e.g. when grouping by a
-  /// subset of the FD determinant).
   Result<std::vector<cqa::GroupRange>> GroupedRangeConsistentAggregate(
       const std::string& table, cqa::AggFn fn, const std::string& column,
       const std::vector<std::string>& group_columns,
       cqa::AggStats* stats = nullptr);
+
+  /// The read view over the current state, building the hypergraph first
+  /// when the cache is cold. Valid until the next write (DML, constraint
+  /// DDL, SetDetectOptions).
+  Result<ReadView> View();
 
   // --- inspection -------------------------------------------------------------
 
@@ -174,10 +162,8 @@ class Database {
   /// built yet).
   uint64_t hypergraph_epoch() const;
 
-  /// Number of repairs of the current instance (exponential; bounded).
+  /// See ReadView::CountRepairs / ReadView::IsConsistent.
   Result<size_t> CountRepairs(size_t limit = 100000);
-
-  /// True when the instance satisfies all constraints.
   Result<bool> IsConsistent();
 
   /// Forces re-detection on next use (called automatically by DML when
@@ -234,10 +220,9 @@ class Database {
     InvalidateHypergraph();
   }
 
-  /// Toggles the algebraic plan optimizer (filter pushdown, product→join)
-  /// for the plain evaluation paths: Query, QueryOverCore, and the
-  /// rewriting baseline. Hippo's envelope pipeline is structure-sensitive
-  /// and is never rewritten. On by default; the A3 ablation bench flips it.
+  /// Toggles the algebraic plan optimizer (see ReadView::optimizer_enabled).
+  /// On by default; the A3 ablation bench flips it. Snapshots captured
+  /// from this database carry the flag.
   void set_optimizer_enabled(bool enabled) { optimizer_enabled_ = enabled; }
   bool optimizer_enabled() const { return optimizer_enabled_; }
 
@@ -245,7 +230,15 @@ class Database {
   const DetectStats& detect_stats() const { return detect_stats_; }
 
  private:
-  Result<PlanNodePtr> PlanParsed(const sql::SelectStmt& stmt) const;
+  /// `graph` null: graph-free reads only.
+  ReadView ViewOver(const ConflictHypergraph* graph) const {
+    return ReadView(&catalog_, graph, &constraints_, &foreign_keys_,
+                    optimizer_enabled_);
+  }
+
+  /// View(), detecting as ConsistentAnswers documents.
+  Result<ReadView> ViewFor(const cqa::HippoOptions& options,
+                           cqa::HippoStats* stats);
 
   /// Routes one applied insert/delete to the incremental maintainer when
   /// active, otherwise invalidates the cached hypergraph.

@@ -43,9 +43,9 @@ struct DetectOptions {
   /// and provenance but numbers edge ids in historical
   /// constraint/discovery order rather than BulkLoad's sorted order.
   /// 0 means "use all hardware threads" (ResolveThreadCount).
-  /// Service callers: set service::ServiceOptions::threads once and let
-  /// service::EffectiveOptions::Resolve derive this field instead of
-  /// setting it here directly.
+  /// Service callers: set service::ServiceOptions::threads; the
+  /// QueryService constructor copies it into this field of
+  /// ServiceOptions::detect.
   size_t num_threads = 1;
 
   /// Minimum live row slots of an FD table per grouping shard: when

@@ -83,24 +83,11 @@ double SecondsSince(std::chrono::steady_clock::time_point from) {
 
 }  // namespace
 
-EffectiveOptions EffectiveOptions::Resolve(const ServiceOptions& options) {
-  EffectiveOptions eff;
-  const bool unified = options.threads != ServiceOptions::kPerFieldThreads;
-  eff.pool_workers =
-      ResolveThreadCount(unified ? options.threads : options.num_workers);
-  eff.detect = options.detect;
-  if (unified) eff.detect.num_threads = options.threads;
-  if (unified) eff.hippo.num_threads = options.threads;
-  return eff;
-}
-
 QueryService::QueryService(ServiceOptions options)
     : options_(options),
       write_ring_(options.write_queue_depth == 0 ? 1
                                                  : options.write_queue_depth) {
-  EffectiveOptions eff = EffectiveOptions::Resolve(options_);
-  options_.num_workers = eff.pool_workers;
-  options_.detect = eff.detect;
+  options_.detect.num_threads = options_.threads;
   if (options_.max_queue_depth == 0) options_.max_queue_depth = 1;
   if (options_.max_group_commits == 0) options_.max_group_commits = 1;
   InitMetrics();
@@ -116,8 +103,9 @@ QueryService::QueryService(ServiceOptions options)
     st = Publish(&superseded);  // epoch 0: the empty instance
   }
   HIPPO_CHECK_MSG(st.ok(), st.ToString().c_str());
-  workers_.reserve(options_.num_workers);
-  for (size_t i = 0; i < options_.num_workers; ++i) {
+  const size_t workers = ResolveThreadCount(options_.threads);
+  workers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   pipeline_ = std::thread([this] { CommitPipelineLoop(); });
@@ -673,65 +661,55 @@ void QueryService::WorkerLoop() {
 
 Result<ResultSet> QueryService::RunJob(Job* job) {
   const Snapshot& snap = *job->snapshot;
-  // Untraced, unmeasured fast path: without a registry the read modes run
-  // exactly the pre-observability code (one branch per request).
-  if (metrics_ == nullptr) {
-    switch (job->mode) {
-      case ReadMode::kPlain:
-        return snap.Query(job->sql);
-      case ReadMode::kOverCore:
-        return snap.QueryOverCore(job->sql);
-      case ReadMode::kConsistent: {
-        cqa::HippoStats hippo_stats;
-        Result<ResultSet> rs =
-            snap.ConsistentAnswers(job->sql, job->options, &hippo_stats);
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        MergeHippoStats(hippo_stats, &stats_.hippo);
-        return rs;
-      }
-    }
-    return Status::Internal("unknown read mode");
-  }
-  auto start = std::chrono::steady_clock::now();
+  // Without a registry every histogram handle is null and no clock is
+  // read: a request costs its read plus, for kConsistent, the stats merge.
+  std::chrono::steady_clock::time_point start;
+  if (metrics_ != nullptr) start = std::chrono::steady_clock::now();
+  cqa::HippoStats hippo_stats;
+  obs::LatencyHistogram* latency = nullptr;
+  Result<ResultSet> rs = Status::Internal("unknown read mode");
   switch (job->mode) {
     case ReadMode::kPlain:
-    case ReadMode::kOverCore: {
-      Result<ResultSet> rs = job->mode == ReadMode::kPlain
-                                 ? snap.Query(job->sql)
-                                 : snap.QueryOverCore(job->sql);
-      double secs = SecondsSince(start);
-      (job->mode == ReadMode::kPlain ? m_plain_latency_ : m_core_latency_)
-          ->Record(secs);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      NoteSlowQueryLocked(*job, RouteKind::kNone, secs, nullptr);
-      return rs;
-    }
-    case ReadMode::kConsistent: {
-      cqa::HippoStats hippo_stats;
-      Result<ResultSet> rs =
-          snap.ConsistentAnswers(job->sql, job->options, &hippo_stats);
-      double secs = SecondsSince(start);
+      rs = snap.Query(job->sql);
+      latency = m_plain_latency_;
+      break;
+    case ReadMode::kOverCore:
+      rs = snap.QueryOverCore(job->sql);
+      latency = m_core_latency_;
+      break;
+    case ReadMode::kConsistent:
+      rs = snap.ConsistentAnswers(job->sql, job->options, &hippo_stats);
       switch (hippo_stats.route) {
         case RouteKind::kConflictFree:
-          m_route_cf_->Record(secs);
+          latency = m_route_cf_;
           break;
         case RouteKind::kRewriteAbc:
         case RouteKind::kRewriteKw:
-          m_route_rewrite_->Record(secs);
+          latency = m_route_rewrite_;
           break;
         case RouteKind::kProver:
-          m_route_prover_->Record(secs);
+          latency = m_route_prover_;
           break;
         case RouteKind::kNone:
           break;  // failed before routing (parse/classification error)
       }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      MergeHippoStats(hippo_stats, &stats_.hippo);
-      NoteSlowQueryLocked(*job, hippo_stats.route, secs, &hippo_stats);
-      return rs;
-    }
+      break;
   }
-  return Status::Internal("unknown read mode");
+  const bool consistent = job->mode == ReadMode::kConsistent;
+  double secs = 0;
+  if (metrics_ != nullptr) {
+    secs = SecondsSince(start);
+    if (latency != nullptr) latency->Record(secs);
+  } else if (!consistent) {
+    return rs;
+  }
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  if (consistent) MergeHippoStats(hippo_stats, &stats_.hippo);
+  if (metrics_ != nullptr) {
+    NoteSlowQueryLocked(*job, hippo_stats.route, secs,
+                        consistent ? &hippo_stats : nullptr);
+  }
+  return rs;
 }
 
 void QueryService::NoteSlowQueryLocked(const Job& job, RouteKind route,

@@ -31,7 +31,7 @@
 // epoch's prefix replays one lineage exactly.
 //
 // Admission control: Submit() enqueues onto a bounded queue serviced by
-// num_workers threads; CommitAsync onto the bounded write ring. When full
+// the worker pool; CommitAsync onto the bounded write ring. When full
 // the service either blocks the submitter (backpressure, default) or
 // rejects with ResourceExhausted, per reject_when_full /
 // reject_writes_when_full.
@@ -62,19 +62,12 @@ namespace hippo::service {
 class Session;
 
 struct ServiceOptions {
-  /// Sentinel for `threads`: keep the per-subsystem fields below.
-  static constexpr size_t kPerFieldThreads = static_cast<size_t>(-1);
-
-  /// The one unified thread knob (see EffectiveOptions::Resolve): when set,
-  /// it drives the read-pool width, commit-path detection threads, and the
-  /// per-query HippoOptions default together (0 = one per hardware
-  /// thread). When left at kPerFieldThreads, the individual fields below
-  /// apply unchanged — existing callers keep their exact behavior.
-  size_t threads = kPerFieldThreads;
-
-  /// Worker threads executing submitted read requests. 0 = one per
-  /// hardware thread (ResolveThreadCount). Prefer `threads`.
-  size_t num_workers = 0;
+  /// The service's one thread knob: the read-pool width and the
+  /// commit-path detection threads (it overrides detect.num_threads).
+  /// 0 = one per hardware thread (ResolveThreadCount). Per-query prover
+  /// and envelope parallelism is HippoOptions::num_threads, set per
+  /// request.
+  size_t threads = 0;
 
   /// Bound on admitted-but-unstarted read requests. Submissions beyond it
   /// block (default) or are rejected, per reject_when_full.
@@ -114,8 +107,8 @@ struct ServiceOptions {
   bool async_bulk_redetect = true;
 
   /// Detection options for commit-path re-detection (bulk commits,
-  /// constraint DDL). num_threads defaults to 0 = all hardware threads;
-  /// shard_rows / partition_rows split a single hot FD, generic-join
+  /// constraint DDL); `threads` replaces num_threads. shard_rows /
+  /// partition_rows split a single hot FD, generic-join
   /// constraint, or FK across the pool, so even a one-constraint database
   /// re-detects in parallel and the re-detect window shrinks with the
   /// core count. Invalid combinations (DetectOptions::Validate) fail the
@@ -136,48 +129,6 @@ struct ServiceOptions {
   /// latency (any read mode) are retained with route and trace summary.
   /// 0 disables the log. Only kept when enable_metrics is on.
   size_t slow_query_log_size = 16;
-
-  // --- deprecated setters ---------------------------------------------------
-  // Kept for source compatibility; new code sets `threads` once and lets
-  // EffectiveOptions::Resolve fan it out.
-
-  [[deprecated("set ServiceOptions::threads; EffectiveOptions::Resolve "
-               "derives the pool width from it")]]
-  ServiceOptions& set_num_workers(size_t n) {
-    num_workers = n;
-    return *this;
-  }
-
-  [[deprecated("set ServiceOptions::threads; EffectiveOptions::Resolve "
-               "derives detect.num_threads from it")]]
-  ServiceOptions& set_detect_threads(size_t n) {
-    detect.num_threads = n;
-    return *this;
-  }
-};
-
-/// The one documented resolution of the three overlapping thread knobs
-/// (ServiceOptions::num_workers, DetectOptions::num_threads,
-/// cqa::HippoOptions::num_threads). Callers set ServiceOptions::threads
-/// once; Resolve fans it out:
-///
-///   * pool_workers — read-pool width (ResolveThreadCount applied, so the
-///     value is always concrete: 0 resolves to the hardware count);
-///   * detect       — ServiceOptions::detect with num_threads overridden
-///     by the unified knob (commit-path re-detections);
-///   * hippo        — the per-query HippoOptions default with num_threads
-///     aligned (prover loop / envelope parallelism). Tools pass this to
-///     Submit / ConsistentAnswers so a single flag drives all three
-///     layers.
-///
-/// With threads == kPerFieldThreads the legacy per-field values pass
-/// through unchanged (hippo keeps HippoOptions' own default).
-struct EffectiveOptions {
-  size_t pool_workers = 1;
-  DetectOptions detect;
-  cqa::HippoOptions hippo;
-
-  static EffectiveOptions Resolve(const ServiceOptions& options);
 };
 
 /// Per-commit phase timings carried by the receipt. All wall seconds.
@@ -296,14 +247,15 @@ class QueryService {
   /// (group size 1 when the caller is the only writer).
   Status Commit(const std::string& sql);
 
-  /// Admin escape hatch for tools (hippo_shell's repair/aggregate meta
-  /// commands): runs `fn` on the master database, serialized against the
-  /// commit pipeline and outside any in-flight async round (it waits for
-  /// the round to finish, so the effect cannot be lost to a lineage
-  /// swap). When `publish` is true a new epoch is published afterwards.
-  /// Mutations made here bypass the receipt/ordering protocol — use
-  /// CommitAsync for anything that must participate in the epoch-prefix
-  /// invariant.
+  /// Admin escape hatch for configuration changes on the master database
+  /// (hippo_shell's .incremental and .threads): runs `fn` on the master,
+  /// serialized against the commit pipeline and outside any in-flight
+  /// async round (it waits for the round to finish, so the effect cannot
+  /// be lost to a lineage swap). When `publish` is true a new epoch is
+  /// published afterwards. Reads never need it — every read runs against
+  /// snapshot(). Mutations made here bypass the receipt/ordering protocol
+  /// — use CommitAsync for anything that must participate in the
+  /// epoch-prefix invariant.
   Status WithMaster(const std::function<Status(Database&)>& fn,
                     bool publish = false);
 

@@ -7,13 +7,14 @@
 // owning thread while other sessions run on other threads.
 //
 //   Session s = service.OpenSession();        // pins the current epoch
-//   auto rs = s.ConsistentAnswers("SELECT ...");
+//   auto rs = s.snapshot()->ConsistentAnswers("SELECT ...");
 //   ... (a writer commits; s still answers at its pinned epoch) ...
 //   s.Refresh();                              // jump to the latest epoch
 //
-// Queries can run synchronously on the caller's thread (Query/
-// QueryOverCore/ConsistentAnswers) or be handed to the service's worker
-// pool (Submit), still pinned to the session's snapshot.
+// Reads run synchronously on the caller's thread through the pinned
+// snapshot (snapshot()->Query, ->ConsistentAnswers, ... — every ReadView
+// method) or are handed to the service's worker pool (Submit), still
+// pinned to the session's snapshot.
 #pragma once
 
 #include <cstdint>
@@ -54,31 +55,6 @@ class Session {
     CommitReceipt receipt = service_->CommitAsync(std::move(sql)).get();
     if (receipt.snapshot != nullptr) snapshot_ = receipt.snapshot;
     return receipt;
-  }
-
-  // --- synchronous reads on the caller's thread ----------------------------
-
-  Result<ResultSet> Query(const std::string& select_sql) const {
-    return snapshot_->Query(select_sql);
-  }
-
-  Result<ResultSet> QueryOverCore(const std::string& select_sql) const {
-    return snapshot_->QueryOverCore(select_sql);
-  }
-
-  Result<ResultSet> ConsistentAnswers(
-      const std::string& select_sql,
-      const cqa::HippoOptions& options = cqa::HippoOptions(),
-      cqa::HippoStats* stats = nullptr) const {
-    return snapshot_->ConsistentAnswers(select_sql, options, stats);
-  }
-
-  /// EXPLAIN ANALYZE at the pinned epoch (see Snapshot::ExplainAnalyze).
-  Result<std::string> ExplainAnalyze(
-      const std::string& select_sql,
-      const cqa::HippoOptions& options = cqa::HippoOptions(),
-      cqa::HippoStats* stats = nullptr) const {
-    return snapshot_->ExplainAnalyze(select_sql, options, stats);
   }
 
   // --- asynchronous reads through the service's worker pool ----------------

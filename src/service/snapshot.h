@@ -8,10 +8,10 @@
 // O(#tables + #partitions) pointer copies instead of a deep copy of the
 // database, and the commit that follows clones only what it mutates.
 // Because table ids and RowIds are preserved, the shared hypergraph's
-// vertices remain valid against the shared catalog, and every read path of
-// the engine — plain evaluation, core evaluation, and the full Hippo
-// consistent-answer pipeline — can run against the snapshot with no locks
-// and no coordination: the snapshot never changes after construction.
+// vertices remain valid against the shared catalog. A snapshot IS a
+// hippo::ReadView over the state it owns, so every read a Database offers
+// runs against it with no locks and no coordination (the snapshot never
+// changes after construction), through the same code as Database's reads.
 //
 // Snapshots are handed out as shared_ptr<const Snapshot> (RCU-style): the
 // publisher swaps in a new snapshot for the next epoch while readers holding
@@ -38,11 +38,8 @@
 #include "common/status.h"
 #include "constraints/constraint.h"
 #include "constraints/foreign_key.h"
-#include "cqa/engine.h"
-#include "detect/detector.h"
-#include "exec/executor.h"
+#include "db/read_view.h"
 #include "hypergraph/hypergraph.h"
-#include "plan/logical_plan.h"
 
 namespace hippo {
 class Database;
@@ -53,7 +50,7 @@ namespace hippo::service {
 class Snapshot;
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
-class Snapshot {
+class Snapshot : public ReadView {
  private:
   /// Pass-key: makes the constructor unusable outside Capture while keeping
   /// it public for std::make_shared (single-allocation construction).
@@ -62,45 +59,34 @@ class Snapshot {
   };
 
  public:
+  /// The ReadView base points at the members below, so a Snapshot is
+  /// neither copyable nor movable.
   Snapshot(PrivateTag, uint64_t epoch, Catalog catalog,
            ConflictHypergraph graph,
            std::vector<DenialConstraint> constraints,
-           std::vector<ForeignKeyConstraint> foreign_keys)
-      : epoch_(epoch),
-        catalog_(std::move(catalog)),
-        graph_(std::move(graph)),
-        constraints_(std::move(constraints)),
-        foreign_keys_(std::move(foreign_keys)) {}
+           std::vector<ForeignKeyConstraint> foreign_keys,
+           bool optimizer_enabled)
+      : ReadView(&frozen_catalog_, &frozen_graph_, &frozen_constraints_,
+                 &frozen_foreign_keys_, optimizer_enabled, epoch),
+        epoch_(epoch),
+        frozen_catalog_(std::move(catalog)),
+        frozen_graph_(std::move(graph)),
+        frozen_constraints_(std::move(constraints)),
+        frozen_foreign_keys_(std::move(foreign_keys)) {}
+  HIPPO_DISALLOW_COPY(Snapshot);
 
-  /// Captures the current state of `db` as an immutable snapshot stamped
-  /// with `epoch`. Builds the conflict hypergraph first when the cache is
-  /// cold (so capture never publishes a graphless view). The caller must
-  /// hold the database's writer-side exclusion while capturing — nothing
-  /// may mutate `db` between the graph read and the catalog share.
+  /// Captures the current state of `db` — instance, hypergraph, constraint
+  /// set and optimizer flag — as an immutable snapshot stamped with
+  /// `epoch`. Builds the conflict hypergraph first when the cache is cold
+  /// (so capture never publishes a graphless view). The caller must hold
+  /// the database's writer-side exclusion while capturing — nothing may
+  /// mutate `db` between the graph read and the catalog share. Constraint
+  /// DDL after capture does not reach the snapshot.
   static Result<SnapshotPtr> Capture(Database* db, uint64_t epoch);
 
   /// The epoch this snapshot was published at (monotonically increasing
   /// across the publishing QueryService's lifetime).
   uint64_t epoch() const { return epoch_; }
-
-  const Catalog& catalog() const { return catalog_; }
-  const ConflictHypergraph& hypergraph() const { return graph_; }
-
-  /// The constraint set the frozen instance was declared over (deep-copied
-  /// at capture; constraint DDL after capture does not reach this
-  /// snapshot). Feeds the query router's first-order routes.
-  const std::vector<DenialConstraint>& constraints() const {
-    return constraints_;
-  }
-  const std::vector<ForeignKeyConstraint>& foreign_keys() const {
-    return foreign_keys_;
-  }
-
-  /// Live rows across all tables (cardinality of the frozen instance).
-  size_t TotalRows() const { return catalog_.TotalRows(); }
-
-  /// True when the frozen instance satisfies all constraints.
-  bool IsConsistent() const { return graph_.NumEdges() == 0; }
 
   // --- memory accounting ----------------------------------------------------
 
@@ -122,39 +108,12 @@ class Snapshot {
   /// proportional to the *unshared* partitions only.
   size_t AccumulateApproxBytes(std::unordered_set<const void*>* seen) const;
 
-  // --- read paths (all const, all safe to call concurrently) ---------------
-
-  /// Plans (and binds) a SELECT statement against the frozen catalog.
-  Result<PlanNodePtr> Plan(const std::string& select_sql) const;
-
-  /// Plain evaluation over the (possibly inconsistent) frozen instance.
-  Result<ResultSet> Query(const std::string& select_sql) const;
-
-  /// Evaluation over the "core": every conflicting tuple removed.
-  Result<ResultSet> QueryOverCore(const std::string& select_sql) const;
-
-  /// Consistent answers via Hippo against the frozen hypergraph. Results
-  /// are bit-identical to Database::ConsistentAnswers on the instance this
-  /// snapshot was captured from.
-  Result<ResultSet> ConsistentAnswers(
-      const std::string& select_sql,
-      const cqa::HippoOptions& options = cqa::HippoOptions(),
-      cqa::HippoStats* stats = nullptr) const;
-
-  /// EXPLAIN ANALYZE against the frozen instance: executes the query via
-  /// ConsistentAnswers with a trace attached and renders the span tree
-  /// (route, engine phases, per-operator wall time + cardinality).
-  Result<std::string> ExplainAnalyze(
-      const std::string& select_sql,
-      const cqa::HippoOptions& options = cqa::HippoOptions(),
-      cqa::HippoStats* stats = nullptr) const;
-
  private:
   uint64_t epoch_;
-  Catalog catalog_;
-  ConflictHypergraph graph_;
-  std::vector<DenialConstraint> constraints_;
-  std::vector<ForeignKeyConstraint> foreign_keys_;
+  Catalog frozen_catalog_;
+  ConflictHypergraph frozen_graph_;
+  std::vector<DenialConstraint> frozen_constraints_;
+  std::vector<ForeignKeyConstraint> frozen_foreign_keys_;
 };
 
 }  // namespace hippo::service

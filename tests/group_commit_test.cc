@@ -70,7 +70,7 @@ DetectOptions PinnedDetect() {
 
 ServiceOptions PipelineOptions() {
   ServiceOptions options;
-  options.num_workers = 2;
+  options.threads = 2;
   options.bulk_redetect_statements = 16;
   options.detect = PinnedDetect();
   return options;

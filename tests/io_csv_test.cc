@@ -187,7 +187,9 @@ TEST(ConflictReportTest, RendersWitnessesAndVerdict) {
       "INSERT INTO audit VALUES ('bob');"
       "CREATE CONSTRAINT fd FD ON emp (name -> salary);"
       "CREATE CONSTRAINT ex EXCLUSION ON emp (name), audit (name)"));
-  auto report = GenerateConflictReport(&db);
+  auto view = db.View();
+  ASSERT_OK(view.status());
+  auto report = GenerateConflictReport(view.value());
   ASSERT_OK(report.status());
   const std::string& text = report.value();
   EXPECT_NE(text.find("verdict: INCONSISTENT"), std::string::npos);
@@ -203,7 +205,9 @@ TEST(ConflictReportTest, ConsistentDatabase) {
       "CREATE TABLE emp (name VARCHAR, salary INTEGER);"
       "INSERT INTO emp VALUES ('ann', 10);"
       "CREATE CONSTRAINT fd FD ON emp (name -> salary)"));
-  auto report = GenerateConflictReport(&db);
+  auto view = db.View();
+  ASSERT_OK(view.status());
+  auto report = GenerateConflictReport(view.value());
   ASSERT_OK(report.status());
   EXPECT_NE(report.value().find("verdict: CONSISTENT"), std::string::npos);
 }

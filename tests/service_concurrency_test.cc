@@ -104,7 +104,7 @@ class ServiceTest : public ::testing::Test {
  protected:
   static ServiceOptions SmallPool() {
     ServiceOptions options;
-    options.num_workers = 2;
+    options.threads = 2;
     return options;
   }
 
@@ -119,7 +119,7 @@ TEST_F(ServiceTest, EpochZeroIsEmptyAndCommitsAdvanceEpochs) {
   QueryService service(SmallPool());
   EXPECT_EQ(service.epoch(), 0u);
   EXPECT_TRUE(service.snapshot()->IsConsistent());
-  EXPECT_EQ(service.snapshot()->TotalRows(), 0u);
+  EXPECT_EQ(service.snapshot()->catalog().TotalRows(), 0u);
 
   ASSERT_OK(service.Commit(kSchema));
   EXPECT_EQ(service.epoch(), 1u);
@@ -140,7 +140,7 @@ TEST_F(ServiceTest, SessionsPinTheirEpochAcrossCommits) {
 
   Session pinned = service.OpenSession();
   ASSERT_EQ(pinned.epoch(), 2u);
-  auto before = pinned.ConsistentAnswers("SELECT * FROM emp");
+  auto before = pinned.snapshot()->ConsistentAnswers("SELECT * FROM emp");
   ASSERT_OK(before.status());
   EXPECT_EQ(before.value().NumRows(), 2u);
 
@@ -149,20 +149,43 @@ TEST_F(ServiceTest, SessionsPinTheirEpochAcrossCommits) {
   ASSERT_OK(service.Commit(
       "DELETE FROM emp WHERE name = 'bob';"
       "INSERT INTO emp VALUES ('ann', 1, 99)"));
-  auto after = pinned.ConsistentAnswers("SELECT * FROM emp");
+  auto after = pinned.snapshot()->ConsistentAnswers("SELECT * FROM emp");
   ASSERT_OK(after.status());
   EXPECT_EQ(after.value().rows, before.value().rows)
       << "session must answer at its acquired epoch";
 
   pinned.Refresh();
   EXPECT_EQ(pinned.epoch(), 3u);
-  auto refreshed = pinned.ConsistentAnswers("SELECT * FROM emp");
+  auto refreshed = pinned.snapshot()->ConsistentAnswers("SELECT * FROM emp");
   ASSERT_OK(refreshed.status());
   // ann is now conflicted on salary (no consistent answer for her rows) and
   // bob is gone: no consistent answers remain.
   EXPECT_EQ(refreshed.value().NumRows(), 0u);
 }
 
+// Same status code; same rows in the same order when both succeed.
+void ExpectSameResult(const Result<ResultSet>& served,
+                      const Result<ResultSet>& expected,
+                      const std::string& what) {
+  ASSERT_EQ(served.status().code(), expected.status().code())
+      << what << ": " << served.status().ToString() << " vs "
+      << expected.status().ToString();
+  if (served.ok()) {
+    EXPECT_EQ(served.value().rows, expected.value().rows) << what;
+  }
+}
+
+void ExpectSameRange(const Result<cqa::AggRange>& served,
+                     const Result<cqa::AggRange>& expected,
+                     const std::string& what) {
+  ASSERT_OK(served.status());
+  ASSERT_OK(expected.status());
+  EXPECT_EQ(served.value().glb, expected.value().glb) << what;
+  EXPECT_EQ(served.value().lub, expected.value().lub) << what;
+}
+
+// Every read a snapshot offers agrees with a serial Database holding the
+// same state, epoch by epoch.
 TEST_F(ServiceTest, SnapshotAnswersBitIdenticalToSerialDatabase) {
   const std::vector<std::string> scripts = {
       kSchema,
@@ -176,6 +199,7 @@ TEST_F(ServiceTest, SnapshotAnswersBitIdenticalToSerialDatabase) {
       "SELECT * FROM emp",
       "SELECT * FROM emp, dept WHERE emp.did = dept.did",
       "SELECT * FROM emp WHERE salary < 45",
+      "SELECT * FROM dept WHERE budget > 50",
   };
 
   QueryService service(SmallPool());
@@ -183,21 +207,95 @@ TEST_F(ServiceTest, SnapshotAnswersBitIdenticalToSerialDatabase) {
   for (const std::string& script : scripts) {
     ASSERT_OK(service.Commit(script));
     ASSERT_OK(oracle.Execute(script));
+    // Build the oracle's graph up front: its Explain classifies the route
+    // against the cached graph, and a snapshot always carries one.
+    ASSERT_OK(oracle.Hypergraph().status());
     SnapshotPtr snap = service.snapshot();
+    const std::string at = StrFormat("epoch %llu",
+                                     (unsigned long long)snap->epoch());
     for (const std::string& q : queries) {
-      auto served = snap->ConsistentAnswers(q);
+      const std::string what = at + " query: " + q;
       auto expected = oracle.ConsistentAnswers(q);
-      ASSERT_OK(served.status());
       ASSERT_OK(expected.status());
-      EXPECT_EQ(served.value().rows, expected.value().rows)
-          << "epoch " << snap->epoch() << " query: " << q;
+      ExpectSameResult(snap->ConsistentAnswers(q), expected, what);
       // The worker pool must agree with the caller-thread path.
-      auto pooled = service.Submit(QueryService::ReadMode::kConsistent, q,
-                                   snap).get();
-      ASSERT_OK(pooled.status());
-      EXPECT_EQ(pooled.value().rows, expected.value().rows);
+      ExpectSameResult(
+          service.Submit(QueryService::ReadMode::kConsistent, q, snap).get(),
+          expected, what + " (pool)");
+
+      auto plain = oracle.Query(q);
+      ASSERT_OK(plain.status());
+      ExpectSameResult(snap->Query(q), plain, what + " (plain)");
+      auto core = oracle.QueryOverCore(q);
+      ASSERT_OK(core.status());
+      ExpectSameResult(snap->QueryOverCore(q), core, what + " (core)");
+      auto exact = oracle.ConsistentAnswersAllRepairs(q);
+      ASSERT_OK(exact.status());
+      ExpectSameResult(snap->ConsistentAnswersAllRepairs(q), exact,
+                       what + " (all repairs)");
+      // The rewriting baseline may refuse a query; it must refuse it alike.
+      ExpectSameResult(snap->ConsistentAnswersByRewriting(q),
+                       oracle.ConsistentAnswersByRewriting(q),
+                       what + " (rewriting)");
+
+      auto explained = oracle.Explain(q);
+      ASSERT_OK(explained.status());
+      auto served_explain = snap->Explain(q);
+      ASSERT_OK(served_explain.status());
+      EXPECT_EQ(served_explain.value(), explained.value()) << what;
+    }
+    auto repairs = oracle.CountRepairs();
+    ASSERT_OK(repairs.status());
+    auto served_repairs = snap->CountRepairs();
+    ASSERT_OK(served_repairs.status());
+    EXPECT_EQ(served_repairs.value(), repairs.value()) << at;
+    auto consistent = oracle.IsConsistent();
+    ASSERT_OK(consistent.status());
+    EXPECT_EQ(snap->IsConsistent(), consistent.value()) << at;
+    for (cqa::AggFn fn : {cqa::AggFn::kSum, cqa::AggFn::kMin,
+                          cqa::AggFn::kCount}) {
+      ExpectSameRange(
+          snap->RangeConsistentAggregate("emp", fn, "salary"),
+          oracle.RangeConsistentAggregate("emp", fn, "salary"),
+          at + " aggregate " + cqa::AggFnToString(fn));
     }
   }
+}
+
+// The optimizer toggle travels with Capture: a snapshot of a Database with
+// the optimizer off explains (and evaluates) like that Database, and its
+// EXPLAIN ANALYZE still names the epoch.
+TEST_F(ServiceTest, SnapshotCarriesOptimizerFlagAndEpoch) {
+  // The planner leaves a constant filter above the product and the
+  // optimizer pushes it down, so EXPLAIN prints an optimized block exactly
+  // when the flag is on.
+  const std::string q = "SELECT * FROM emp, dept WHERE 1 = 1";
+  Database db;
+  ASSERT_OK(db.Execute(std::string(kSchema) +
+                       ";INSERT INTO dept VALUES (1, 100);"
+                       "INSERT INTO emp VALUES ('ann', 1, 10), ('ann', 1, 20)"));
+  auto optimized = db.Explain(q);
+  ASSERT_OK(optimized.status());
+  ASSERT_NE(optimized.value().find("-- optimized"), std::string::npos)
+      << optimized.value();
+
+  db.set_optimizer_enabled(false);
+  auto snap = service::Snapshot::Capture(&db, 7);
+  ASSERT_OK(snap.status());
+  EXPECT_FALSE(snap.value()->optimizer_enabled());
+  auto expected = db.Explain(q);
+  ASSERT_OK(expected.status());
+  auto served = snap.value()->Explain(q);
+  ASSERT_OK(served.status());
+  EXPECT_EQ(served.value(), expected.value());
+  EXPECT_EQ(served.value().find("-- optimized"), std::string::npos)
+      << served.value();
+  ExpectSameResult(snap.value()->Query(q), db.Query(q), "plain");
+
+  auto analyzed = snap.value()->ExplainAnalyze(q);
+  ASSERT_OK(analyzed.status());
+  EXPECT_NE(analyzed.value().find("epoch=7"), std::string::npos)
+      << analyzed.value();
 }
 
 TEST_F(ServiceTest, MidScriptErrorStillPublishesMasterState) {
@@ -261,7 +359,7 @@ TEST_F(ServiceTest, SubmitAfterShutdownIsRejected) {
 
 TEST_F(ServiceTest, FullQueueRejectsWhenConfiguredTo) {
   ServiceOptions options;
-  options.num_workers = 1;
+  options.threads = 1;
   options.max_queue_depth = 1;
   options.reject_when_full = true;
   QueryService service(options);
@@ -447,7 +545,7 @@ TEST_F(ServiceTest, RandomizedReadersVsChurnWriter) {
           // Alternate between the caller-thread path and the worker pool;
           // both must be bit-identical to the oracle at the pinned epoch.
           Result<ResultSet> rs = ((spin + r) % 2 == 0)
-                  ? session.ConsistentAnswers(q)
+                  ? session.snapshot()->ConsistentAnswers(q)
                   : session.Submit(QueryService::ReadMode::kConsistent, q)
                         .get();
           if (!rs.ok()) {

@@ -36,7 +36,7 @@ using service::SnapshotPtr;
 
 ServiceOptions SmallPool() {
   ServiceOptions options;
-  options.num_workers = 2;
+  options.threads = 2;
   return options;
 }
 
@@ -281,9 +281,9 @@ TEST(CowSharing, PinnedSessionsAreUnaffectedByLaterCommits) {
   ASSERT_OK(service.Commit(SeedRows(32, 4)));
 
   Session session = service.OpenSession();
-  auto pinned = session.ConsistentAnswers("SELECT * FROM t1");
+  auto pinned = session.snapshot()->ConsistentAnswers("SELECT * FROM t1");
   ASSERT_OK(pinned.status());
-  auto pinned_plain = session.Query("SELECT * FROM emp");
+  auto pinned_plain = session.snapshot()->Query("SELECT * FROM emp");
   ASSERT_OK(pinned_plain.status());
 
   // Churn every table, including the ones the pinned queries touch.
@@ -297,15 +297,15 @@ TEST(CowSharing, PinnedSessionsAreUnaffectedByLaterCommits) {
     ASSERT_OK(service.Commit(script));
   }
 
-  auto again = session.ConsistentAnswers("SELECT * FROM t1");
+  auto again = session.snapshot()->ConsistentAnswers("SELECT * FROM t1");
   ASSERT_OK(again.status());
   EXPECT_EQ(again.value().rows, pinned.value().rows);
-  auto again_plain = session.Query("SELECT * FROM emp");
+  auto again_plain = session.snapshot()->Query("SELECT * FROM emp");
   ASSERT_OK(again_plain.status());
   EXPECT_EQ(again_plain.value().rows, pinned_plain.value().rows);
 
   session.Refresh();
-  auto refreshed = session.Query("SELECT * FROM emp");
+  auto refreshed = session.snapshot()->Query("SELECT * FROM emp");
   ASSERT_OK(refreshed.status());
   EXPECT_NE(refreshed.value().rows, pinned_plain.value().rows)
       << "refresh must observe the committed deletes";
@@ -324,9 +324,12 @@ TEST(CowDifferential, RandomizedCowVsDeepCloneAndSerialOracle) {
   QueryService service(options);
 
   // The oracle mirrors the master's exact maintenance lifecycle: same
-  // detect options, incremental maintenance restored after every script.
+  // detect options (with the service's thread knob applied, as the
+  // service does), incremental maintenance restored after every script.
   Database oracle;
-  oracle.SetDetectOptions(options.detect);
+  DetectOptions detect = options.detect;
+  detect.num_threads = options.threads;
+  oracle.SetDetectOptions(detect);
   ASSERT_OK(oracle.EnableIncrementalMaintenance());
 
   auto commit_both = [&](const std::string& script) {
@@ -481,13 +484,13 @@ TEST(CowConcurrency, PinnedReadersRaceCommittingWriter) {
         std::string q =
             StrFormat("SELECT * FROM t%llu",
                       (unsigned long long)rng.Uniform(kFdTables));
-        auto first = session.ConsistentAnswers(q);
+        auto first = session.snapshot()->ConsistentAnswers(q);
         if (!first.ok()) {
           ++failures;
           return;
         }
         for (int k = 0; k < 3; ++k) {
-          auto again = session.ConsistentAnswers(q);
+          auto again = session.snapshot()->ConsistentAnswers(q);
           if (!again.ok() || again.value().rows != first.value().rows) {
             ++failures;
             return;

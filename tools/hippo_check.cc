@@ -106,20 +106,17 @@ int main(int argc, char** argv) {
                 imported.value().rows_inserted);
   }
 
-  auto report = hippo::GenerateConflictReport(&db, report_options);
+  auto view = db.View();
+  if (!view.ok()) return Fail(view.status().ToString());
+  auto report = hippo::GenerateConflictReport(view.value(), report_options);
   if (!report.ok()) return Fail(report.status().ToString());
   std::printf("%s", report.value().c_str());
 
   if (!dot_path.empty()) {
-    auto graph = db.Hypergraph();
-    if (!graph.ok()) return Fail(graph.status().ToString());
     std::ofstream dot(dot_path, std::ios::trunc);
     if (!dot) return Fail("cannot write " + dot_path);
-    dot << graph.value()->ToDot();
+    dot << view.value().hypergraph().ToDot();
     std::printf("hypergraph written to %s\n", dot_path.c_str());
   }
-
-  auto consistent = db.IsConsistent();
-  if (!consistent.ok()) return Fail(consistent.status().ToString());
-  return consistent.value() ? 0 : 1;
+  return view.value().IsConsistent() ? 0 : 1;
 }

@@ -17,11 +17,12 @@
 //                      [--smoke] [--metrics-out=FILE] [--metrics-json=FILE]
 //
 // --ops is the total number of read requests across all readers; each
-// writer commits until the readers finish. --smoke shrinks everything to
-// CI-smoke size. --metrics-out writes the service's Prometheus text
-// exposition at exit; --metrics-json writes the same snapshot as one JSON
-// object (machine-readable, consumed by the ctest smoke). Exit status:
-// 0 on success, 2 on error.
+// writer commits until the readers finish. --workers sets ServiceOptions::
+// threads: the pool width and the commit-path detection threads. --smoke
+// shrinks everything to CI-smoke size. --metrics-out writes the service's
+// Prometheus text exposition at exit; --metrics-json writes the same
+// snapshot as one JSON object (machine-readable, consumed by the ctest
+// smoke). Exit status: 0 on success, 2 on error.
 #include <algorithm>
 #include <atomic>
 #include <deque>
@@ -94,7 +95,7 @@ struct RoleReport {
 
 int Run(const DriverConfig& config) {
   ServiceOptions options;
-  options.num_workers = config.workers;
+  options.threads = config.workers;
   options.max_queue_depth = config.queue_depth;
   QueryService service(options);
 
@@ -112,7 +113,7 @@ int Run(const DriverConfig& config) {
   std::printf("loaded in %s: %zu rows, %zu conflict edges, epoch %llu, "
               "snapshot %s\n",
               FormatSeconds(load_seconds).c_str(),
-              service.snapshot()->TotalRows(),
+              service.snapshot()->catalog().TotalRows(),
               service.snapshot()->hypergraph().NumEdges(),
               (unsigned long long)service.epoch(),
               hippo::bench::FormatBytes(service.snapshot()->ApproxBytes())

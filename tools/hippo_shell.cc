@@ -10,10 +10,11 @@
 // The shell fronts a service::QueryService rather than a bare Database:
 // every write goes through the asynchronous group-commit pipeline
 // (CommitAsync) and reports the epoch it published at plus the size of the
-// group it coalesced into; SELECTs evaluate against the current immutable
-// snapshot. Meta commands that need the mutable master (repair counting,
-// aggregates, maintenance toggles) use the service's serialized
-// WithMaster escape hatch.
+// group it coalesced into. Every read — SELECTs in all five modes, EXPLAIN,
+// repair counting, aggregates, the conflict report — evaluates against the
+// current immutable snapshot. Only the configuration commands
+// (.incremental, .threads) reach the mutable master, through the service's
+// serialized admin escape hatch.
 //
 // Statements end with ';'. Meta commands start with '.':
 //   .mode plain|cqa|core|rewriting|allrepairs   answering mode for SELECTs
@@ -36,9 +37,8 @@
 //   .quit
 //
 // The `--threads N` command-line flag sets the same knob before the first
-// statement runs (it feeds ServiceOptions::threads, the one unified knob
-// that EffectiveOptions::Resolve fans out to the read pool, commit-path
-// detection, and the per-query prover loop).
+// statement runs: it is ServiceOptions::threads (read pool and commit-path
+// detection) and each query's HippoOptions::num_threads (prover loop).
 //
 // DML (INSERT/DELETE/UPDATE) and COPY t FROM/TO 'file.csv' run like any
 // other statement.
@@ -67,7 +67,6 @@ namespace hippo::shell {
 namespace {
 
 using service::CommitReceipt;
-using service::EffectiveOptions;
 using service::QueryService;
 using service::ServiceOptions;
 using service::SnapshotPtr;
@@ -105,9 +104,7 @@ const char* ModeName(Mode m) {
 
 ServiceOptions ShellOptions(size_t threads) {
   ServiceOptions options;
-  // The one unified knob: EffectiveOptions::Resolve derives the read-pool
-  // width, commit-path detection threads, and per-query parallelism from
-  // it. threads == 1 (the shell default) reproduces the historical
+  // threads == 1 (the shell default) reproduces the historical
   // single-threaded shell behavior exactly.
   options.threads = threads;
   return options;
@@ -325,13 +322,9 @@ class Shell {
         std::printf("usage: .repairs [limit]\n");
         return true;
       }
-      Result<size_t> count{size_t{0}};
-      Status st = service_.WithMaster([&](Database& db) {
-        count = db.CountRepairs(limit);
-        return count.status();
-      });
-      if (!st.ok()) {
-        std::printf("error: %s\n", st.ToString().c_str());
+      Result<size_t> count = service_.snapshot()->CountRepairs(limit);
+      if (!count.ok()) {
+        std::printf("error: %s\n", count.status().ToString().c_str());
       } else {
         std::printf("repairs: %zu\n", count.value());
       }
@@ -348,13 +341,11 @@ class Shell {
         return true;
       }
       std::string col = args.size() >= 4 ? args[3] : "";
-      Result<cqa::AggRange> range{cqa::AggRange()};
-      Status st = service_.WithMaster([&](Database& db) {
-        range = db.RangeConsistentAggregate(args[2], fn.value(), col);
-        return range.status();
-      });
-      if (!st.ok()) {
-        std::printf("error: %s\n", st.ToString().c_str());
+      Result<cqa::AggRange> range =
+          service_.snapshot()->RangeConsistentAggregate(args[2], fn.value(),
+                                                        col);
+      if (!range.ok()) {
+        std::printf("error: %s\n", range.status().ToString().c_str());
       } else {
         std::printf("%s(%s.%s) in every repair: %s\n",
                     cqa::AggFnToString(fn.value()), args[2].c_str(),
@@ -363,13 +354,10 @@ class Shell {
       return true;
     }
     if (cmd == ".report") {
-      Result<std::string> report{std::string()};
-      Status st = service_.WithMaster([&](Database& db) {
-        report = GenerateConflictReport(&db);
-        return report.status();
-      });
-      if (!st.ok()) {
-        std::printf("error: %s\n", st.ToString().c_str());
+      Result<std::string> report =
+          GenerateConflictReport(*service_.snapshot());
+      if (!report.ok()) {
+        std::printf("error: %s\n", report.status().ToString().c_str());
       } else {
         std::printf("%s", report.value().c_str());
       }
@@ -421,15 +409,11 @@ class Shell {
       }
       std::string col = args[3] == "-" ? "" : args[3];
       std::vector<std::string> group_cols(args.begin() + 4, args.end());
-      Result<std::vector<cqa::GroupRange>> result{
-          std::vector<cqa::GroupRange>()};
-      Status st = service_.WithMaster([&](Database& db) {
-        result = db.GroupedRangeConsistentAggregate(args[2], fn.value(), col,
-                                                    group_cols);
-        return result.status();
-      });
-      if (!st.ok()) {
-        std::printf("error: %s\n", st.ToString().c_str());
+      Result<std::vector<cqa::GroupRange>> result =
+          service_.snapshot()->GroupedRangeConsistentAggregate(
+              args[2], fn.value(), col, group_cols);
+      if (!result.ok()) {
+        std::printf("error: %s\n", result.status().ToString().c_str());
         return true;
       }
       for (const cqa::GroupRange& g : result.value()) {
@@ -445,10 +429,10 @@ class Shell {
           return true;
         }
         threads_ = n;
-        // Re-resolve the unified knob on the live master (the read-pool
-        // width stays as constructed; detection and the prover loop pick
-        // up the new count). WithMaster rebuilds the invalidated graph and
-        // publishes the re-detected epoch.
+        // A master configuration change (the read-pool width stays as
+        // constructed; detection and the prover loop pick up the new
+        // count). WithMaster rebuilds the invalidated graph and publishes
+        // the re-detected epoch.
         DetectOptions detect;
         detect.num_threads = n;
         Status st = service_.WithMaster(
@@ -505,13 +489,7 @@ class Shell {
       options.route = route_;
       text = service_.snapshot()->ExplainAnalyze(body.substr(sql), options);
     } else {
-      // Plain EXPLAIN renders plans only (no execution); the master is the
-      // convenient place to plan since Snapshot does not expose it.
-      Status st = service_.WithMaster([&](Database& db) {
-        text = db.Explain(body.substr(start));
-        return text.status();
-      });
-      if (!st.ok() && text.ok()) text = st;
+      text = service_.snapshot()->Explain(body.substr(start));
     }
     if (!text.ok()) {
       std::printf("error: %s\n", text.status().ToString().c_str());
@@ -599,9 +577,10 @@ class Shell {
 
   Result<ResultSet> RunSelect(const std::string& text,
                               cqa::HippoStats* stats) {
+    SnapshotPtr snap = service_.snapshot();
     switch (mode_) {
       case Mode::kPlain:
-        return service_.snapshot()->Query(text);
+        return snap->Query(text);
       case Mode::kCqa: {
         cqa::HippoOptions options;
         // Shell thread count drives the prover loop too (detection picks it
@@ -609,30 +588,14 @@ class Shell {
         // hardware threads in both.
         options.num_threads = threads_;
         options.route = route_;
-        return service_.snapshot()->ConsistentAnswers(text, options, stats);
+        return snap->ConsistentAnswers(text, options, stats);
       }
       case Mode::kCore:
-        return service_.snapshot()->QueryOverCore(text);
-      case Mode::kRewriting: {
-        // The first-order baselines are not snapshot methods; run them on
-        // the master, serialized with the pipeline.
-        Result<ResultSet> rs{ResultSet()};
-        Status st = service_.WithMaster([&](Database& db) {
-          rs = db.ConsistentAnswersByRewriting(text);
-          return rs.status();
-        });
-        if (!st.ok() && rs.ok()) return Result<ResultSet>(st);
-        return rs;
-      }
-      case Mode::kAllRepairs: {
-        Result<ResultSet> rs{ResultSet()};
-        Status st = service_.WithMaster([&](Database& db) {
-          rs = db.ConsistentAnswersAllRepairs(text);
-          return rs.status();
-        });
-        if (!st.ok() && rs.ok()) return Result<ResultSet>(st);
-        return rs;
-      }
+        return snap->QueryOverCore(text);
+      case Mode::kRewriting:
+        return snap->ConsistentAnswersByRewriting(text);
+      case Mode::kAllRepairs:
+        return snap->ConsistentAnswersAllRepairs(text);
     }
     return Status::Internal("unknown mode");
   }

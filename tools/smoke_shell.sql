@@ -13,7 +13,12 @@ SELECT * FROM emp;
 SELECT * FROM emp;
 .mode allrepairs
 SELECT * FROM emp;
+.mode rewriting
+SELECT * FROM emp;
 .repairs
 .agg min emp salary
+.groupagg min emp salary name
+.explain SELECT * FROM emp WHERE salary > 45000
+.explain analyze SELECT * FROM emp WHERE salary > 45000
 .report
 .quit
