@@ -11,11 +11,16 @@
 //   * F12a: per-route latency by query class on a conflict-dense instance —
 //     the rewrite route beats the prover on every tractable-class query;
 //     "-" marks routes that soundly refuse (prover cannot serve narrowing
-//     projections, rewriting cannot serve difference).
-//   * F12b: conflict-density sweep on the selection query — sparse pair
-//     conflicts favor the prover (the conflict-free shortcut decides almost
-//     every candidate), dense blocks favor the rewriting, and the router's
-//     shape-based auto choice tracks the rewrite column.
+//     projections, rewriting cannot serve difference). The `plain` column
+//     times the same SQL as an ordinary query, alternating with the
+//     rewrite runs, and `rewrite/plain` is the ABC rows' consistent-answer
+//     overhead over it: a same-run ratio, so CI gates it absolutely
+//     (first-order CQA should cost what the query costs).
+//   * F12b: conflict-density sweep on the selection query — the prover's
+//     per-candidate work grows with density (on sparse pair conflicts its
+//     conflict-free shortcut decides almost every candidate) while the
+//     rewriting's cost does not, and the router's shape-based auto choice
+//     tracks the rewrite column.
 //   * F12c: a 95%-tractable / 5%-difference request stream through
 //     service::QueryService (the engine hippo_serve_driver drives), with
 //     the per-route counts and mean latencies the service aggregates from
@@ -97,6 +102,11 @@ cqa::HippoOptions RouteOptions(RouteMode route) {
   return opt;
 }
 
+double Median(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  return runs[runs.size() / 2];
+}
+
 /// Median of three timed runs after one warm-up; negative when the route
 /// refuses the query.
 double TimeRoute(Database* db, const std::string& sql, RouteMode route) {
@@ -108,8 +118,37 @@ double TimeRoute(Database* db, const std::string& sql, RouteMode route) {
       HIPPO_CHECK(db->ConsistentAnswers(sql, RouteOptions(route)).ok());
     }));
   }
-  std::sort(runs.begin(), runs.end());
-  return runs[1];
+  return Median(runs);
+}
+
+size_t PairedReps() { return SmokeMode() ? 3 : 7; }
+
+struct RewriteVsPlain {
+  double rewrite;  ///< negative when the rewrite route refuses the query
+  double plain;
+};
+
+/// The forced rewrite route and the plain query (`Database::Query`) of the
+/// same SQL, timed alternately for PairedReps() rounds after one warm-up
+/// each; each side reports the median of its rounds. Host drift lands on
+/// both sides alike (F14's method), so their ratio does not depend on the
+/// host's speed.
+RewriteVsPlain TimeRewriteVsPlain(Database* db, const std::string& sql) {
+  auto rewrite = [&] {
+    return db->ConsistentAnswers(sql, RouteOptions(RouteMode::kForceRewrite))
+        .ok();
+  };
+  auto plain = [&] { return db->Query(sql).ok(); };
+  bool rewrites = rewrite();
+  HIPPO_CHECK(plain());
+  std::vector<double> rewrite_runs, plain_runs;
+  for (size_t i = 0; i < PairedReps(); ++i) {
+    if (rewrites) {
+      rewrite_runs.push_back(TimeOnce([&] { HIPPO_CHECK(rewrite()); }));
+    }
+    plain_runs.push_back(TimeOnce([&] { HIPPO_CHECK(plain()); }));
+  }
+  return {rewrites ? Median(rewrite_runs) : -1, Median(plain_runs)};
 }
 
 // --------------------------------------------------------------- F12a
@@ -120,7 +159,10 @@ void PrintPerRouteTable() {
     const char* label;
     std::string sql;
   };
+  // The last key is a unique, conflict-free one: the lookup returns a row.
   const RouteCase cases[] = {
+      {"point lookup (ABC)",
+       StrFormat("SELECT * FROM p WHERE a = %zu", Rows() - 1)},
       {"selection (ABC)", QuerySet::Selection()},
       {"star (ABC)", "SELECT * FROM p"},
       {"narrowing (KW)", "SELECT a FROM p"},
@@ -128,28 +170,35 @@ void PrintPerRouteTable() {
       {"difference (prover)", QuerySet::Difference()},
   };
   TextTable table({"query class", "route(auto)", "auto", "rewrite", "prover",
-                   "prover/rewrite"});
+                   "prover/rewrite", "plain", "rewrite/plain"});
   for (const RouteCase& c : cases) {
     cqa::HippoStats stats;
     auto rs = db->ConsistentAnswers(c.sql, RouteOptions(RouteMode::kAuto),
                                     &stats);
     HIPPO_CHECK_MSG(rs.ok(), rs.status().ToString().c_str());
     double auto_secs = TimeRoute(db, c.sql, RouteMode::kAuto);
-    double rewrite_secs = TimeRoute(db, c.sql, RouteMode::kForceRewrite);
     double prover_secs = TimeRoute(db, c.sql, RouteMode::kForceProver);
+    auto [rewrite_secs, plain_secs] = TimeRewriteVsPlain(db, c.sql);
     std::string ratio = "-";
     if (rewrite_secs > 0 && prover_secs > 0) {
       ratio = StrFormat("%.1fx", prover_secs / rewrite_secs);
     }
+    // A bare float, which tools/check_bench.py --overhead-limit gates.
+    std::string overhead = "-";
+    if (stats.route == RouteKind::kRewriteAbc) {
+      overhead = StrFormat("%.2f", rewrite_secs / plain_secs);
+    }
     table.AddRow({c.label, RouteKindName(stats.route),
                   FormatSeconds(auto_secs),
                   rewrite_secs < 0 ? "-" : FormatSeconds(rewrite_secs),
-                  prover_secs < 0 ? "-" : FormatSeconds(prover_secs), ratio});
+                  prover_secs < 0 ? "-" : FormatSeconds(prover_secs), ratio,
+                  FormatSeconds(plain_secs), overhead});
   }
   table.Print(StrFormat(
       "F12a: per-route latency by query class (conflict-dense p: N=%zu, "
-      "%.0f%% of tuples in blocks of %zu)",
-      Rows(), kDenseRate * 100, DenseBlock()));
+      "%.0f%% of tuples in blocks of %zu; rewrite and plain: medians of %zu "
+      "alternated runs)",
+      Rows(), kDenseRate * 100, DenseBlock(), PairedReps()));
 }
 
 // --------------------------------------------------------------- F12b

@@ -7,6 +7,7 @@
 
 #include "cqa/envelope.h"
 #include "expr/evaluator.h"
+#include "plan/optimizer.h"
 #include "plan/sjud.h"
 
 namespace hippo::cqa {
@@ -88,9 +89,12 @@ Result<ResultSet> HippoEngine::ServeFirstOrder(const PlanNode& original,
                                                HippoStats* stats) const {
   auto t0 = Clock::now();
   // Evaluate below any root sort; ordering is re-applied canonically so
-  // ties match the other routes.
+  // ties match the other routes. Pushdown sinks the query's selections
+  // under the residue anti-joins, so they probe only the selected rows.
   const PlanNode* body = &exec_plan;
   if (body->kind() == PlanKind::kSort) body = &body->child(0);
+  PlanNodePtr optimized = OptimizePlan(*body);
+  body = optimized.get();
   ExecContext ctx{&catalog_, nullptr};
   ctx.parallel.num_threads = options.num_threads;
   ctx.engine = options.exec_engine;

@@ -147,8 +147,9 @@ class HippoEngine {
                                HippoStats* stats) const;
 
   /// Serves a first-order route: plain evaluation of `exec_plan` (the
-  /// original plan for kConflictFree, the rewritten one otherwise), with
-  /// the output schema and root sort of `original`.
+  /// original plan for kConflictFree, the rewritten one otherwise) after
+  /// filter pushdown (OptimizePlan), with the output schema and root sort
+  /// of `original`.
   Result<ResultSet> ServeFirstOrder(const PlanNode& original,
                                     const PlanNode& exec_plan,
                                     RouteKind kind,

@@ -220,9 +220,10 @@ class Database {
     InvalidateHypergraph();
   }
 
-  /// Toggles the algebraic plan optimizer (see ReadView::optimizer_enabled).
-  /// On by default; the A3 ablation bench flips it. Snapshots captured
-  /// from this database carry the flag.
+  /// Toggles the algebraic plan optimizer on the plain evaluation paths
+  /// (see ReadView::optimizer_enabled; ConsistentAnswers' first-order
+  /// routes always optimize). On by default; the A3 ablation bench flips
+  /// it. Snapshots captured from this database carry the flag.
   void set_optimizer_enabled(bool enabled) { optimizer_enabled_ = enabled; }
   bool optimizer_enabled() const { return optimizer_enabled_; }
 

@@ -58,8 +58,10 @@ class ReadView {
 
   /// Whether the algebraic plan optimizer (filter pushdown, product→join)
   /// runs on the plain evaluation paths: Query, QueryOverCore, and the
-  /// rewriting and all-repairs baselines. Hippo's envelope pipeline is
-  /// structure-sensitive and is never rewritten.
+  /// rewriting and all-repairs baselines. It does not govern
+  /// ConsistentAnswers: the first-order routes (conflict-free, ABC
+  /// rewrite) always push filters down, and the prover's envelope
+  /// pipeline is structure-sensitive and is never rewritten.
   bool optimizer_enabled() const { return optimizer_enabled_; }
 
   /// Plans (and binds) a SELECT statement.

@@ -236,6 +236,47 @@ std::vector<Row> IntersectRows(const std::vector<Row>& left,
 // Columnar kernels
 // ---------------------------------------------------------------------------
 
+ChainedHashIndex::ChainedHashIndex(size_t rows)
+    : next_(rows), hashes_(rows) {
+  unsigned bits = 1;
+  while (bits < 32 && (size_t{1} << bits) < rows) ++bits;
+  heads_.assign(size_t{1} << bits, kEnd);
+  shift_ = 64 - bits;
+}
+
+namespace {
+
+/// Hash of the key cells of physical row `p` of `batch`, seeded with the
+/// key arity (== HashRow of the key tuple). False when a key cell is NULL:
+/// NULL join keys never match.
+bool KeyHash(const ColumnBatch& batch, uint32_t p,
+             const std::vector<int>& keys, size_t* hash) {
+  size_t seed = keys.size();
+  for (int k : keys) {
+    const ColumnVector& cv = batch.col(static_cast<size_t>(k));
+    if (cv.IsNull(p)) return false;
+    HashCombine(&seed, cv.HashAt(p));
+  }
+  *hash = seed;
+  return true;
+}
+
+/// Chains the logical rows of `build` by key hash, linked in reverse so
+/// every chain runs in build-insertion order; NULL-key rows are left out.
+ChainedHashIndex BuildKeyIndex(const ColumnBatch& build,
+                               const std::vector<int>& keys) {
+  ChainedHashIndex index(build.NumRows());
+  for (size_t j = build.NumRows(); j-- > 0;) {
+    size_t hash = 0;
+    if (KeyHash(build, build.Physical(j), keys, &hash)) {
+      index.Link(static_cast<uint32_t>(j), hash);
+    }
+  }
+  return index;
+}
+
+}  // namespace
+
 BatchJoinChain::BatchJoinChain(const ColumnBatch* probe,
                                std::vector<LevelSpec> levels,
                                const Expr* final_filter)
@@ -255,25 +296,7 @@ BatchJoinChain::BatchJoinChain(const ColumnBatch* probe,
         level.left_keys = std::move(split.left_keys);
         level.right_keys = std::move(split.right_keys);
         level.residual = std::move(split.residual);
-        const ColumnBatch& b = *level.batch;
-        level.build.reserve(b.NumRows());
-        for (uint32_t j = 0; j < b.NumRows(); ++j) {
-          uint32_t p = b.Physical(j);
-          // Seed with the key arity, matching HashRow of the key tuple;
-          // rows with a NULL key never match and are not built.
-          size_t hash = level.right_keys.size();
-          bool null_key = false;
-          for (int rk : level.right_keys) {
-            const ColumnVector& cv = b.col(static_cast<size_t>(rk));
-            if (cv.IsNull(p)) {
-              null_key = true;
-              break;
-            }
-            HashCombine(&hash, cv.HashAt(p));
-          }
-          if (null_key) continue;
-          level.build[hash].push_back(j);
-        }
+        level.build = BuildKeyIndex(*level.batch, level.right_keys);
       }
     }
     offsets_.push_back(prefix_width + level.batch->NumColumns());
@@ -337,10 +360,9 @@ void BatchJoinChain::Descend(size_t level, uint32_t* idxs,
   if (L.has_equi) {
     size_t hash;
     if (!HashLeftKey(idxs, L, &hash)) return;
-    auto it = L.build.find(hash);
-    if (it == L.build.end()) return;
-    for (uint32_t j : it->second) {
-      if (!LeftKeyEquals(idxs, L, j)) continue;  // same-hash different key
+    for (uint32_t j = L.build.First(hash); j != ChainedHashIndex::kEnd;
+         j = L.build.Next(j)) {
+      if (L.build.HashOf(j) != hash || !LeftKeyEquals(idxs, L, j)) continue;
       idxs[level + 1] = j;
       if (L.residual != nullptr) {
         auto at = [&](size_t col) { return TupleValue(idxs, col); };
@@ -401,22 +423,7 @@ BatchAntiJoinProbe::BatchAntiJoinProbe(const ColumnBatch* left,
   left_keys_ = std::move(split.left_keys);
   right_keys_ = std::move(split.right_keys);
   residual_ = std::move(split.residual);
-  build_.reserve(right_->NumRows());
-  for (uint32_t j = 0; j < right_->NumRows(); ++j) {
-    uint32_t p = right_->Physical(j);
-    size_t hash = right_keys_.size();
-    bool null_key = false;
-    for (int rk : right_keys_) {
-      const ColumnVector& cv = right_->col(static_cast<size_t>(rk));
-      if (cv.IsNull(p)) {
-        null_key = true;
-        break;
-      }
-      HashCombine(&hash, cv.HashAt(p));
-    }
-    if (null_key) continue;
-    build_[hash].push_back(j);
-  }
+  build_ = BuildKeyIndex(*right_, right_keys_);
 }
 
 bool BatchAntiJoinProbe::PairPredicate(const Expr& expr, uint32_t left_row,
@@ -438,39 +445,26 @@ void BatchAntiJoinProbe::Probe(size_t begin, size_t end,
     bool matched = false;
     if (has_equi_) {
       uint32_t p = left_->Physical(li);
-      size_t hash = left_keys_.size();
-      bool null_key = false;
-      for (int lk : left_keys_) {
-        const ColumnVector& cv = left_->col(static_cast<size_t>(lk));
-        if (cv.IsNull(p)) {
-          null_key = true;  // NULL key: no partner, the left row survives
-          break;
-        }
-        HashCombine(&hash, cv.HashAt(p));
-      }
-      if (!null_key) {
-        auto it = build_.find(hash);
-        if (it != build_.end()) {
-          for (uint32_t j : it->second) {
-            bool keys_equal = true;
-            uint32_t rp = right_->Physical(j);
-            for (size_t k = 0; k < left_keys_.size(); ++k) {
-              const ColumnVector& lcv =
-                  left_->col(static_cast<size_t>(left_keys_[k]));
-              const ColumnVector& rcv =
-                  right_->col(static_cast<size_t>(right_keys_[k]));
-              if (!lcv.EqualsAt(p, rcv, rp)) {
-                keys_equal = false;
-                break;
-              }
-            }
-            if (!keys_equal) continue;
-            if (residual_ == nullptr || PairPredicate(*residual_, li, j)) {
-              matched = true;
-              break;
-            }
+      size_t hash = 0;
+      // A NULL key has no partner: the left row survives.
+      bool has_key = KeyHash(*left_, p, left_keys_, &hash);
+      for (uint32_t j = has_key ? build_.First(hash) : ChainedHashIndex::kEnd;
+           j != ChainedHashIndex::kEnd && !matched; j = build_.Next(j)) {
+        if (build_.HashOf(j) != hash) continue;
+        bool keys_equal = true;
+        uint32_t rp = right_->Physical(j);
+        for (size_t k = 0; k < left_keys_.size(); ++k) {
+          const ColumnVector& lcv =
+              left_->col(static_cast<size_t>(left_keys_[k]));
+          const ColumnVector& rcv =
+              right_->col(static_cast<size_t>(right_keys_[k]));
+          if (!lcv.EqualsAt(p, rcv, rp)) {
+            keys_equal = false;
+            break;
           }
         }
+        if (!keys_equal) continue;
+        matched = residual_ == nullptr || PairPredicate(*residual_, li, j);
       }
     } else {
       for (uint32_t j = 0; j < right_->NumRows(); ++j) {
@@ -486,23 +480,21 @@ void BatchAntiJoinProbe::Probe(size_t begin, size_t end,
 
 ColumnBatch DedupBatch(const ColumnBatch& batch) {
   size_t n = batch.NumRows();
-  std::unordered_map<size_t, std::vector<uint32_t>> buckets;
-  buckets.reserve(n);
+  // Only kept rows are linked, so a chain holds distinct rows and any
+  // equal row on it is the first occurrence.
+  ChainedHashIndex kept(n);
   std::vector<uint32_t> keep;
   keep.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  for (uint32_t i = 0; i < n; ++i) {
     size_t h = batch.RowHashAt(i);
-    std::vector<uint32_t>& bucket = buckets[h];
     bool dup = false;
-    for (uint32_t j : bucket) {
-      if (batch.RowEqualsAt(i, batch, j)) {
-        dup = true;
-        break;
-      }
+    for (uint32_t j = kept.First(h); j != ChainedHashIndex::kEnd && !dup;
+         j = kept.Next(j)) {
+      dup = kept.HashOf(j) == h && batch.RowEqualsAt(i, batch, j);
     }
     if (dup) continue;
-    bucket.push_back(static_cast<uint32_t>(i));
-    keep.push_back(static_cast<uint32_t>(i));
+    kept.Link(i, h);
+    keep.push_back(i);
   }
   if (keep.size() == n) return batch;  // already a set: keep zero-copy
   return batch.Narrow(keep);

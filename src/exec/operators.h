@@ -10,6 +10,7 @@
 // extraction, NULL keys never match, residual evaluation, match order).
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -133,15 +134,57 @@ std::vector<Row> DedupRows(std::vector<Row> rows);
 // computed over column slices via ColumnVector::HashAt (== Value::Hash).
 // ---------------------------------------------------------------------------
 
+/// \brief Flat chained hash index over logical row numbers: a power-of-two
+/// bucket-head array plus one `next` link and the cached hash per row.
+///
+/// The batch join, anti-join and dedup kernels each build one in three
+/// flat allocations. Link() pushes a row onto the head of its bucket's
+/// chain, so a build that links rows in *reverse* order walks every chain
+/// in build-insertion order — the candidate order the row kernels' per-key
+/// vectors keep. A chain may mix hashes: walkers compare HashOf() first.
+class ChainedHashIndex {
+ public:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  /// An empty index with room for rows [0, rows).
+  explicit ChainedHashIndex(size_t rows = 0);
+
+  /// Links `row` (< rows) under `hash`, ahead of the rows already linked
+  /// in its bucket.
+  void Link(uint32_t row, size_t hash) {
+    size_t b = Bucket(hash);
+    hashes_[row] = hash;
+    next_[row] = heads_[b];
+    heads_[b] = row;
+  }
+  /// First row of the chain `hash` falls into; kEnd when empty.
+  uint32_t First(size_t hash) const { return heads_[Bucket(hash)]; }
+  /// The row after `row` in its chain; kEnd at the end.
+  uint32_t Next(uint32_t row) const { return next_[row]; }
+  size_t HashOf(uint32_t row) const { return hashes_[row]; }
+
+ private:
+  /// Fibonacci hashing: the top bits of hash * 2^64/phi.
+  size_t Bucket(size_t hash) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  std::vector<uint32_t> heads_;
+  std::vector<uint32_t> next_;
+  std::vector<size_t> hashes_;
+  unsigned shift_ = 63;
+};
+
 /// \brief Batch counterpart of JoinChain: a left-deep chain of hash/NL
 /// joins over ColumnBatches, probed by index tuple.
 ///
 /// Probe(out) appends one flat tuple of `tuple_arity()` logical indexes —
 /// (probe row, level-0 build row, ...) — per result, in exactly the order
 /// JoinChain::Probe emits materialized rows for the same inputs: probe
-/// order outer, build-insertion order inner (hash buckets keep insertion
-/// order; equal-hash-different-key candidates are filtered by column
-/// equality, which preserves order), residual and final filters applied at
+/// order outer, build-insertion order inner (hash chains run in insertion
+/// order; other-hash and equal-hash-different-key candidates are filtered
+/// out, which preserves order), residual and final filters applied at
 /// the same points with identical Kleene semantics. Materialize() gathers
 /// tuples into an output batch whose rows equal the row engine's output.
 class BatchJoinChain {
@@ -180,8 +223,8 @@ class BatchJoinChain {
     std::vector<int> right_keys;  ///< column indexes into `batch`
     ExprPtr residual;
     const Expr* condition;
-    /// key hash -> logical build rows with that key hash, insertion order.
-    std::unordered_map<size_t, std::vector<uint32_t>> build;
+    /// Key-hash chains over the logical build rows with a non-NULL key.
+    ChainedHashIndex build;
   };
 
   Value TupleValue(const uint32_t* idxs, size_t col) const;
@@ -220,7 +263,7 @@ class BatchAntiJoinProbe {
   std::vector<int> left_keys_;
   std::vector<int> right_keys_;
   ExprPtr residual_;
-  std::unordered_map<size_t, std::vector<uint32_t>> build_;
+  ChainedHashIndex build_;
 };
 
 /// Removes duplicate logical rows of `batch` (first occurrence wins, same

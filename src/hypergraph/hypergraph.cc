@@ -44,6 +44,7 @@ ConflictHypergraph ConflictHypergraph::Share() {
   copy.num_edge_slots_ = num_edge_slots_;
   copy.num_live_edges_ = num_live_edges_;
   copy.num_conflicting_ = num_conflicting_;
+  copy.conflicting_by_table_ = conflicting_by_table_;
   return copy;
 }
 
@@ -67,6 +68,7 @@ ConflictHypergraph ConflictHypergraph::DeepCopy() const {
   copy.num_edge_slots_ = num_edge_slots_;
   copy.num_live_edges_ = num_live_edges_;
   copy.num_conflicting_ = num_conflicting_;
+  copy.conflicting_by_table_ = conflicting_by_table_;
   return copy;
 }
 
@@ -105,7 +107,13 @@ ConflictHypergraph::CanonicalShard* ConflictHypergraph::MutableCanonicalShard(
 void ConflictHypergraph::AddIncident(RowId v, EdgeId e) {
   IncidentShard* shard = MutableIncidentShard(IncidentShardOf(v));
   auto [it, fresh] = shard->lists.try_emplace(v);
-  if (fresh) ++num_conflicting_;
+  if (fresh) {
+    ++num_conflicting_;
+    if (v.table >= conflicting_by_table_.size()) {
+      conflicting_by_table_.resize(size_t{v.table} + 1, 0);
+    }
+    ++conflicting_by_table_[v.table];
+  }
   it->second.push_back(e);
 }
 
@@ -122,6 +130,7 @@ void ConflictHypergraph::RemoveIncident(RowId v, EdgeId e) {
   if (list.empty()) {
     shard->lists.erase(it);
     --num_conflicting_;
+    --conflicting_by_table_[v.table];
   }
 }
 

@@ -148,6 +148,15 @@ class ConflictHypergraph {
   /// Number of distinct vertices that appear in some edge.
   size_t NumConflictingVertices() const { return num_conflicting_; }
 
+  /// Number of distinct vertices of table `table_id` that appear in some
+  /// live edge. O(1): maintained with the incident index, so the router's
+  /// "does any conflict touch these tables" check costs O(tables).
+  size_t NumConflictingVertices(uint32_t table_id) const {
+    return table_id < conflicting_by_table_.size()
+               ? conflicting_by_table_[table_id]
+               : 0;
+  }
+
   /// The conflicting vertices (unordered).
   std::vector<RowId> ConflictingVertices() const;
 
@@ -244,6 +253,8 @@ class ConflictHypergraph {
   size_t num_edge_slots_ = 0;
   size_t num_live_edges_ = 0;
   size_t num_conflicting_ = 0;  ///< vertices with a nonempty incident list
+  /// num_conflicting_ split by RowId::table (index = table id).
+  std::vector<size_t> conflicting_by_table_;
 };
 
 }  // namespace hippo

@@ -15,10 +15,11 @@
 //     the inputs);
 //   * TRUE conjuncts are dropped.
 //
-// The optimizer is applied to plain evaluation paths only. The CQA
-// envelope/knowledge-gathering pipeline interprets plan *structure* (it
-// grounds membership per subexpression), so Hippo's own plans are left
-// exactly as the enveloping step built them.
+// The optimizer is applied to plain evaluation paths only, which include
+// the first-order CQA routes (conflict-free and rewritten plans). The
+// prover's envelope/knowledge-gathering pipeline interprets plan
+// *structure* (it grounds membership per subexpression), so its plans are
+// left exactly as the enveloping step built them.
 #pragma once
 
 #include "plan/logical_plan.h"

@@ -413,17 +413,17 @@ std::unordered_set<uint32_t> CollectPlanTables(const PlanNode& plan) {
 
 bool AnyEdgeTouchesTables(const ConflictHypergraph& graph,
                           const std::unordered_set<uint32_t>& tables) {
-  for (ConflictHypergraph::EdgeId e = 0; e < graph.NumEdgeSlots(); ++e) {
-    if (!graph.EdgeAlive(e)) continue;
-    for (const RowId& v : graph.edge(e)) {
-      if (tables.count(v.table) != 0) return true;
-    }
+  // A vertex is conflicting iff some live edge contains it, so a live edge
+  // touches a table iff the table has a conflicting vertex.
+  for (uint32_t t : tables) {
+    if (graph.NumConflictingVertices(t) != 0) return true;
   }
   return false;
 }
 
 bool TableConflictsAreCliques(const ConflictHypergraph& graph,
                               uint32_t table_id) {
+  if (graph.NumConflictingVertices(table_id) == 0) return true;
   // Collect the binary same-table edges touching the table; any other edge
   // shape disqualifies (a KW-eligible table should only see its own FD).
   std::vector<std::pair<uint32_t, uint32_t>> edges;

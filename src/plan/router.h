@@ -158,6 +158,7 @@ Result<std::vector<size_t>> KwKeyColumns(
 std::unordered_set<uint32_t> CollectPlanTables(const PlanNode& plan);
 
 /// True when some live hyperedge has a vertex in one of `tables`.
+/// O(|tables|): reads the graph's per-table conflicting-vertex counts.
 bool AnyEdgeTouchesTables(const ConflictHypergraph& graph,
                           const std::unordered_set<uint32_t>& tables);
 

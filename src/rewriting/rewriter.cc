@@ -108,8 +108,11 @@ Result<PlanNodePtr> QueryRewriter::UnaryCleanScan(
     }
     // Self-pair residue: a same-table binary constraint can be violated by
     // a single tuple assigned to both atoms (the detector's self-join emits
-    // {t, t}, a unary hyperedge) — such a tuple is in no repair either.
-    if (dc.IsBinary() && dc.atoms()[0].table_id == table_id &&
+    // {t, t}, a unary hyperedge) — such a tuple is in no repair either. An
+    // FD needs none: φ(t, t) = t.lhs = t.lhs ∧ (t.rhs <> t.rhs ∨ ...) is
+    // never TRUE, and the FD detector pairs only distinct tuples.
+    if (dc.IsBinary() && !dc.fd_info().has_value() &&
+        dc.atoms()[0].table_id == table_id &&
         dc.atoms()[1].table_id == table_id) {
       ExprPtr cond;
       if (dc.condition() == nullptr) {
@@ -138,7 +141,10 @@ Result<PlanNodePtr> QueryRewriter::GuardScan(const ScanNode& scan) {
 
   for (const DenialConstraint& dc : constraints_) {
     if (!dc.IsBinary()) continue;  // unary handled by UnaryCleanScan
-    for (size_t p = 0; p < dc.arity(); ++p) {
+    // An FD's φ is symmetric in its two atoms (= and <> are), so the
+    // residues at either atom are the same anti-join: emit it once.
+    size_t positions = dc.fd_info().has_value() ? 1 : dc.arity();
+    for (size_t p = 0; p < positions; ++p) {
       if (dc.atoms()[p].table_id != scan.table_id()) continue;
       // Residue ∀ȳ ¬(partner(ȳ) ∧ φ): anti-join against the partner atom.
       // The partner side is itself restricted to tuples present in SOME

@@ -229,5 +229,109 @@ TEST(OperatorsTest, AntiJoinKernel) {
   EXPECT_EQ(out[1][0], Value::Int(3));
 }
 
+// ---------------------------------------------------------------------------
+// Batch kernels against the row kernels (the oracle): exact row sequences.
+
+/// NULL, or 1..3 as an INT or as the equal DOUBLE (1 vs 1.0): builds see
+/// duplicate keys, NULL keys and cross-type-equal keys.
+Value RandomKey(Rng* rng) {
+  int64_t k = rng->UniformInt(0, 3);
+  if (k == 0) return Value::Null();
+  if (rng->UniformInt(0, 1) == 0) return Value::Int(k);
+  return Value::Double(static_cast<double>(k));
+}
+
+std::vector<Row> RandomKeyedRows(Rng* rng, size_t n) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    Value key = RandomKey(rng);
+    rows.push_back(Row{key, Value::Int(rng->UniformInt(0, 4))});
+  }
+  return rows;
+}
+
+/// (key INTEGER, v INTEGER); DOUBLE keys make the key column mixed-mode.
+/// Every other row is selected away, so kernels read through a selection.
+ColumnBatch KeyedBatch(const std::vector<Row>& rows,
+                       std::vector<Row>* selected) {
+  std::vector<uint32_t> keep;
+  for (uint32_t i = 0; i < rows.size(); i += 2) {
+    keep.push_back(i);
+    selected->push_back(rows[i]);
+  }
+  return ColumnBatch::FromRows(rows, {TypeId::kInt, TypeId::kInt})
+      .Narrow(keep);
+}
+
+/// Binds `text` over `tables` copies of (key, v), qualified t0, t1, ...
+ExprPtr BindOverCopies(const std::string& text, size_t tables) {
+  Schema schema;
+  for (size_t t = 0; t < tables; ++t) {
+    std::string q = "t" + std::to_string(t);
+    schema.AddColumn(Column("key", TypeId::kInt, q));
+    schema.AddColumn(Column("v", TypeId::kInt, q));
+  }
+  auto parsed = sql::ParseExpression(text);
+  EXPECT_OK(parsed.status()) << text;
+  ExprPtr e = std::move(parsed).value();
+  EXPECT_OK(ExprBinder(schema).BindPredicate(e.get())) << text;
+  return e;
+}
+
+class BatchKernelOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BatchKernelOracle, JoinChainMatchesRowKernel) {
+  Rng rng(GetParam());
+  std::vector<Row> probe_all = RandomKeyedRows(&rng, 40);
+  std::vector<Row> b0_all = RandomKeyedRows(&rng, 30);
+  std::vector<Row> b1_all = RandomKeyedRows(&rng, 30);
+  std::vector<Row> probe, b0, b1;
+  ColumnBatch probe_batch = KeyedBatch(probe_all, &probe);
+  ColumnBatch b0_batch = KeyedBatch(b0_all, &b0);
+  ColumnBatch b1_batch = KeyedBatch(b1_all, &b1);
+  ExprPtr c0 = BindOverCopies("t0.key = t1.key AND t0.v <= t1.v", 2);
+  ExprPtr c1 = BindOverCopies("t1.key = t2.key", 3);
+
+  exec::JoinChain rows(2, {{&b0, c0.get(), 2}, {&b1, c1.get(), 2}}, nullptr);
+  std::vector<Row> expected;
+  rows.Probe(probe, 0, probe.size(), &expected);
+  exec::BatchJoinChain batch(&probe_batch,
+                             {{&b0_batch, c0.get()}, {&b1_batch, c1.get()}},
+                             nullptr);
+  std::vector<uint32_t> tuples;
+  batch.Probe(0, probe_batch.NumRows(), &tuples);
+  EXPECT_EQ(batch.Materialize(tuples).ToRows(), expected);
+}
+
+TEST_P(BatchKernelOracle, AntiJoinMatchesRowKernel) {
+  Rng rng(GetParam());
+  std::vector<Row> left_all = RandomKeyedRows(&rng, 40);
+  std::vector<Row> right_all = RandomKeyedRows(&rng, 12);
+  std::vector<Row> left, right;
+  ColumnBatch left_batch = KeyedBatch(left_all, &left);
+  ColumnBatch right_batch = KeyedBatch(right_all, &right);
+  for (const char* text :
+       {"t0.key = t1.key", "t0.key = t1.key AND t0.v <> t1.v"}) {
+    ExprPtr cond = BindOverCopies(text, 2);
+    std::vector<Row> expected;
+    exec::AntiJoinRows(left, right, *cond, 2, &expected);
+    exec::BatchAntiJoinProbe probe(&left_batch, &right_batch, cond.get());
+    std::vector<uint32_t> keep;
+    probe.Probe(0, left_batch.NumRows(), &keep);
+    EXPECT_EQ(left_batch.Narrow(keep).ToRows(), expected) << text;
+  }
+}
+
+TEST_P(BatchKernelOracle, DedupMatchesRowKernel) {
+  Rng rng(GetParam());
+  std::vector<Row> all = RandomKeyedRows(&rng, 80);
+  std::vector<Row> selected;
+  ColumnBatch batch = KeyedBatch(all, &selected);
+  EXPECT_EQ(exec::DedupBatch(batch).ToRows(), exec::DedupRows(selected));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BatchKernelOracle,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
 }  // namespace
 }  // namespace hippo

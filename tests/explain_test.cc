@@ -1,6 +1,8 @@
 // Tests for the EXPLAIN facility.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "db/database.h"
 #include "tests/test_util.h"
 
@@ -66,6 +68,31 @@ TEST_F(ExplainTest, OptimizedSectionAppearsOnlyWhenDifferent) {
   ASSERT_OK(simple.status());
   EXPECT_EQ(simple.value().find("-- optimized"), std::string::npos)
       << simple.value();
+}
+
+TEST_F(ExplainTest, AnalyzeShowsSelectionBelowResidueAntiJoin) {
+  // The first-order routes push the query's selection under the residue
+  // anti-join, so the anti-join probes only the selected rows.
+  ASSERT_OK(db_.Execute("INSERT INTO r VALUES (1, 1), (1, 2), (2, 3)"));
+  auto text = db_.ExplainAnalyze("SELECT * FROM r WHERE a = 2");
+  ASSERT_OK(text.status());
+  EXPECT_NE(text.value().find("rewrite-abc"), std::string::npos)
+      << text.value();
+  // Span lines are indented two spaces per depth.
+  size_t antijoin_depth = std::string::npos;
+  bool filter_below = false;
+  std::istringstream lines(text.value());
+  for (std::string line; std::getline(lines, line);) {
+    size_t depth = line.find_first_not_of(' ');
+    if (line.compare(depth, 8, "AntiJoin") == 0) {
+      antijoin_depth = depth;
+    } else if (line.compare(depth, 6, "Filter") == 0) {
+      ASSERT_NE(antijoin_depth, std::string::npos)
+          << "filter above the anti-join:\n" << text.value();
+      filter_below = depth > antijoin_depth;
+    }
+  }
+  EXPECT_TRUE(filter_below) << text.value();
 }
 
 }  // namespace

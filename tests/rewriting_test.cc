@@ -57,6 +57,27 @@ TEST_F(RewritingTest, RewrittenPlanContainsAntiJoin) {
   EXPECT_EQ(rewritten.value()->schema().NumColumns(), 2u);
 }
 
+/// Number of plan nodes of `kind` in `plan`.
+size_t CountNodes(const PlanNode& plan, PlanKind kind) {
+  size_t n = plan.kind() == kind ? 1 : 0;
+  for (size_t i = 0; i < plan.NumChildren(); ++i) {
+    n += CountNodes(plan.child(i), kind);
+  }
+  return n;
+}
+
+TEST_F(RewritingTest, FdResidueIsOneAntiJoinWithoutSelfPairFilter) {
+  // An FD's φ(t, t) is never TRUE and φ is symmetric in its two atoms: the
+  // guarded scan needs no self-pair filter and one residue, not two.
+  auto plan = db_.Plan("SELECT * FROM r");
+  ASSERT_OK(plan.status());
+  rewriting::QueryRewriter rewriter(db_.catalog(), db_.constraints());
+  auto rewritten = rewriter.Rewrite(*plan.value());
+  ASSERT_OK(rewritten.status());
+  EXPECT_EQ(CountNodes(*rewritten.value(), PlanKind::kAntiJoin), 1u);
+  EXPECT_EQ(CountNodes(*rewritten.value(), PlanKind::kFilter), 0u);
+}
+
 TEST_F(RewritingTest, UnionRejected) {
   EXPECT_EQ(db_.ConsistentAnswersByRewriting(
                     "SELECT * FROM r UNION SELECT * FROM s")
@@ -215,6 +236,35 @@ TEST_F(RewritingTest, ResiduePartnersExcludeSelfPairViolators) {
   ASSERT_OK(exact.status());
   ASSERT_EQ(exact.value().NumRows(), 1u);
   EXPECT_EQ(SortedRows(rewr.value()), SortedRows(exact.value()));
+}
+
+TEST_F(RewritingTest, SelfPairDenialKeepsFilterAndBothResidues) {
+  // selfp's φ(t, t) can be TRUE (p(5) conflicts with itself) and nothing
+  // makes φ symmetric, so p keeps the self-pair filter — on the guarded
+  // scan and on both residue partners — and one residue per atom.
+  Database db;
+  ASSERT_OK(db.Execute(
+      "CREATE TABLE p (v INTEGER);"
+      "CREATE TABLE q (v INTEGER);"
+      "INSERT INTO p VALUES (5), (NULL), (7);"
+      "INSERT INTO q VALUES (5), (6);"
+      "CREATE CONSTRAINT selfp DENIAL (p AS x, p AS y WHERE x.v = y.v);"
+      "CREATE CONSTRAINT ex EXCLUSION ON p (v), q (v)"));
+  auto plan = db.Plan("SELECT * FROM p");
+  ASSERT_OK(plan.status());
+  rewriting::QueryRewriter rewriter(db.catalog(), db.constraints());
+  auto rewritten = rewriter.Rewrite(*plan.value());
+  ASSERT_OK(rewritten.status());
+  // Two selfp residues plus the exclusion's residue against q.
+  EXPECT_EQ(CountNodes(*rewritten.value(), PlanKind::kAntiJoin), 3u);
+  EXPECT_EQ(CountNodes(*rewritten.value(), PlanKind::kFilter), 3u);
+  for (const char* q : {"SELECT * FROM p", "SELECT * FROM q"}) {
+    auto rewr = db.ConsistentAnswersByRewriting(q);
+    auto exact = db.ConsistentAnswersAllRepairs(q);
+    ASSERT_OK(rewr.status()) << q;
+    ASSERT_OK(exact.status()) << q;
+    EXPECT_EQ(SortedRows(rewr.value()), SortedRows(exact.value())) << q;
+  }
 }
 
 // Property: on random FD-inconsistent instances, rewriting equals Hippo
