@@ -1,11 +1,12 @@
 // F13 — vectorized columnar execution vs the row-at-a-time engine.
 //
-// The batch engine (ExecEngine::kBatch) executes filters as typed loops
-// over shared column vectors with selection-vector narrowing, joins as
+// The columnar engine (Execute) executes filters as typed loops over
+// shared column vectors with selection-vector narrowing, joins as
 // index-tuple probes of hash tables keyed by column-slice hashes, and
 // scans as zero-copy shares of Table's memoized columnar view. These
-// sweeps measure what that buys over the row engine on the paths the
-// system actually spends time on:
+// sweeps measure what that buys over the row-at-a-time engine, which
+// survives as the test oracle (tests/oracle: oracle::ExecuteRows and
+// oracle::DetectAllRows), on the paths the system actually spends time on:
 //
 //   * F13a — filter + projection over one relation, by input size;
 //   * F13b — envelope evaluation of a join query (the relational half of
@@ -25,6 +26,8 @@
 #include "cqa/envelope.h"
 #include "detect/detector.h"
 #include "exec/executor.h"
+#include "tests/oracle/detect.h"
+#include "tests/oracle/row_engine.h"
 
 namespace hippo::bench {
 namespace {
@@ -69,22 +72,28 @@ Database* GenericDb(size_t n) {
   return it->second.get();
 }
 
-ExecContext EngineCtx(const Database* db, ExecEngine engine, size_t threads) {
+ExecContext EngineCtx(const Database* db, size_t threads) {
   ExecContext ctx{&db->catalog(), nullptr};
-  ctx.engine = engine;
   ctx.parallel.num_threads = threads;
   ctx.parallel.min_partition_rows = SmokeMode() ? 64 : 4096;
   return ctx;
 }
 
-/// Times one materializing execution; returns (seconds, result rows).
+/// Times one materializing execution on the columnar engine (`row` =
+/// false) or the row oracle; returns (seconds, result rows).
 std::pair<double, size_t> TimeExecute(const PlanNode& plan,
-                                      const ExecContext& ctx) {
+                                      const ExecContext& ctx, bool row) {
   size_t rows = 0;
   double secs = TimeOnce([&] {
-    auto rs = Execute(plan, ctx);
-    HIPPO_CHECK_MSG(rs.ok(), rs.status().ToString().c_str());
-    rows = rs.value().NumRows();
+    if (row) {
+      auto rs = oracle::ExecuteRows(plan, ctx);
+      HIPPO_CHECK_MSG(rs.ok(), rs.status().ToString().c_str());
+      rows = rs.value().size();
+    } else {
+      auto rs = Execute(plan, ctx);
+      HIPPO_CHECK_MSG(rs.ok(), rs.status().ToString().c_str());
+      rows = rs.value().NumRows();
+    }
   });
   return {secs, rows};
 }
@@ -99,13 +108,13 @@ void PrintFilterSweep() {
     HIPPO_CHECK_MSG(plan.ok(), plan.status().ToString().c_str());
     // Warm the columnar view so the row measures engine cost, not the
     // one-time view build.
-    auto [warm_secs, warm_rows] = TimeExecute(
-        *plan.value(), EngineCtx(db, ExecEngine::kBatch, 1));
+    auto [warm_secs, warm_rows] =
+        TimeExecute(*plan.value(), EngineCtx(db, 1), /*row=*/false);
     (void)warm_secs;
-    auto [row_secs, row_rows] = TimeExecute(
-        *plan.value(), EngineCtx(db, ExecEngine::kRow, 1));
-    auto [batch_secs, batch_rows] = TimeExecute(
-        *plan.value(), EngineCtx(db, ExecEngine::kBatch, 1));
+    auto [row_secs, row_rows] =
+        TimeExecute(*plan.value(), EngineCtx(db, 1), /*row=*/true);
+    auto [batch_secs, batch_rows] =
+        TimeExecute(*plan.value(), EngineCtx(db, 1), /*row=*/false);
     HIPPO_CHECK_MSG(row_rows == batch_rows && warm_rows == batch_rows,
                     "engines disagree on the result cardinality");
     table.AddRow({std::to_string(n), FormatSeconds(row_secs),
@@ -129,10 +138,10 @@ void PrintEnvelopeSweep() {
                    "candidate rows"});
   size_t base_rows = 0;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    auto [row_secs, row_rows] = TimeExecute(
-        *envelope, EngineCtx(db, ExecEngine::kRow, threads));
-    auto [batch_secs, batch_rows] = TimeExecute(
-        *envelope, EngineCtx(db, ExecEngine::kBatch, threads));
+    auto [row_secs, row_rows] =
+        TimeExecute(*envelope, EngineCtx(db, threads), /*row=*/true);
+    auto [batch_secs, batch_rows] =
+        TimeExecute(*envelope, EngineCtx(db, threads), /*row=*/false);
     HIPPO_CHECK_MSG(row_rows == batch_rows,
                     "engines disagree on the candidate cardinality");
     if (threads == 1) base_rows = batch_rows;
@@ -149,13 +158,15 @@ void PrintEnvelopeSweep() {
       EnvelopeRows()));
 }
 
-/// One timed DetectAll; returns (seconds, edges).
-std::pair<double, size_t> TimeDetect(Database* db,
-                                     const DetectOptions& options) {
-  ConflictDetector detector(db->catalog(), options);
+/// One timed serial detection on the columnar kernels (DetectAll) or the
+/// row oracle (oracle::DetectAllRows); returns (seconds, edges).
+std::pair<double, size_t> TimeDetect(Database* db, bool row) {
+  ConflictDetector detector(db->catalog());
   size_t edges = 0;
   double secs = TimeOnce([&] {
-    auto g = detector.DetectAll(db->constraints(), db->foreign_keys());
+    auto g = row ? oracle::DetectAllRows(db->catalog(), db->constraints(),
+                                         db->foreign_keys())
+                 : detector.DetectAll(db->constraints(), db->foreign_keys());
     HIPPO_CHECK_MSG(g.ok(), g.status().ToString().c_str());
     edges = g.value().NumEdges();
   });
@@ -167,14 +178,10 @@ void PrintDetectSweep() {
                    "edges"});
   for (size_t n : DetectSizes()) {
     Database* db = GenericDb(n);
-    DetectOptions row_opts;
-    row_opts.engine = ExecEngine::kRow;
-    DetectOptions batch_opts;
-    batch_opts.engine = ExecEngine::kBatch;
     // Warm the columnar view (one-time table image, shared afterwards).
-    TimeDetect(db, batch_opts);
-    auto [row_secs, row_edges] = TimeDetect(db, row_opts);
-    auto [batch_secs, batch_edges] = TimeDetect(db, batch_opts);
+    TimeDetect(db, /*row=*/false);
+    auto [row_secs, row_edges] = TimeDetect(db, /*row=*/true);
+    auto [batch_secs, batch_edges] = TimeDetect(db, /*row=*/false);
     HIPPO_CHECK_MSG(row_edges == batch_edges,
                     "engines disagree on the edge count");
     table.AddRow({std::to_string(n), FormatSeconds(row_secs),
@@ -195,12 +202,12 @@ void PrintFigureTables() {
 
 void BM_BatchDetect(benchmark::State& state) {
   Database* db = GenericDb(static_cast<size_t>(state.range(0)));
-  DetectOptions options;
-  options.engine =
-      state.range(1) != 0 ? ExecEngine::kBatch : ExecEngine::kRow;
+  bool batch = state.range(1) != 0;
   for (auto _ : state) {
-    ConflictDetector detector(db->catalog(), options);
-    auto g = detector.DetectAll(db->constraints());
+    ConflictDetector detector(db->catalog());
+    auto g = batch ? detector.DetectAll(db->constraints())
+                   : oracle::DetectAllRows(db->catalog(), db->constraints(),
+                                           {});
     HIPPO_CHECK(g.ok());
     benchmark::DoNotOptimize(g.value().NumEdges());
   }
@@ -218,12 +225,18 @@ void BM_BatchEnvelope(benchmark::State& state) {
   auto plan = db->Plan(QuerySet::Join());
   HIPPO_CHECK(plan.ok());
   PlanNodePtr envelope = cqa::BuildEnvelope(*plan.value());
-  ExecContext ctx = EngineCtx(
-      db, state.range(0) != 0 ? ExecEngine::kBatch : ExecEngine::kRow, 1);
+  ExecContext ctx = EngineCtx(db, 1);
+  bool batch = state.range(0) != 0;
   for (auto _ : state) {
-    auto rs = Execute(*envelope, ctx);
-    HIPPO_CHECK(rs.ok());
-    benchmark::DoNotOptimize(rs.value().NumRows());
+    if (batch) {
+      auto rs = Execute(*envelope, ctx);
+      HIPPO_CHECK(rs.ok());
+      benchmark::DoNotOptimize(rs.value().NumRows());
+    } else {
+      auto rs = oracle::ExecuteRows(*envelope, ctx);
+      HIPPO_CHECK(rs.ok());
+      benchmark::DoNotOptimize(rs.value().size());
+    }
   }
 }
 BENCHMARK(BM_BatchEnvelope)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);

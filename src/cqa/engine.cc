@@ -97,7 +97,6 @@ Result<ResultSet> HippoEngine::ServeFirstOrder(const PlanNode& original,
   body = optimized.get();
   ExecContext ctx{&catalog_, nullptr};
   ctx.parallel.num_threads = options.num_threads;
-  ctx.engine = options.exec_engine;
   obs::TraceSpan* span = options.trace == nullptr
                              ? nullptr
                              : options.trace->StartChild("evaluate");
@@ -158,14 +157,13 @@ Result<ResultSet> HippoEngine::ServeProver(const PlanNode& plan,
 
   // 1. Enveloping + evaluation by the relational engine. The evaluation
   //    shares the prover loop's thread budget: with num_threads > 1 the
-  //    executor partitions its row-at-a-time operators (filter, project,
-  //    join/anti-join probe, product) into row ranges merged in partition
-  //    order, so the candidate set — rows and order — is bit-identical to
-  //    the serial evaluation (see ExecParallel in exec/executor.h).
+  //    executor partitions filter masks, computed projections, and join and
+  //    anti-join probes into row ranges merged in partition order, so the
+  //    candidate set — rows and order — is bit-identical to the serial
+  //    evaluation (see ExecParallel in exec/executor.h).
   PlanNodePtr envelope = BuildEnvelope(plan);
   ExecContext ctx{&catalog_, nullptr};
   ctx.parallel.num_threads = options.num_threads;
-  ctx.engine = options.exec_engine;
   obs::TraceSpan* envelope_span =
       options.trace == nullptr ? nullptr
                                : options.trace->StartChild("envelope");
@@ -310,6 +308,7 @@ Result<bool> HippoEngine::IsConsistentAnswer(const PlanNode& plan,
   if (stats != nullptr) {
     stats->membership_checks += membership->NumLookups();
     stats->clauses_checked += prover.stats().clauses_checked;
+    stats->edge_choices_tried += prover.stats().edge_choices_tried;
   }
   return ok;
 }

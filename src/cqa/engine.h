@@ -41,8 +41,9 @@ struct HippoOptions {
   /// conflict-free facts skip CNF + Prover entirely.
   bool use_filtering = true;
 
-  /// Pipeline parallelism: envelope evaluation partitions its
-  /// row-at-a-time operators into row ranges (ExecParallel), and the
+  /// Pipeline parallelism: evaluation of the envelope and of the
+  /// first-order routes partitions filter masks, computed projections, and
+  /// join and anti-join probes into row ranges (ExecParallel), and the
   /// prover loop — candidates are decided independently — shards across
   /// this many worker threads (1 = sequential; 0 = one per hardware
   /// thread, the same ResolveThreadCount convention as DetectOptions).
@@ -59,11 +60,6 @@ struct HippoOptions {
   /// HippoStats::detect_options_ignored so a mismatched DetectOptions
   /// cannot silently masquerade as a perf change.
   std::optional<DetectOptions> detect;
-
-  /// Physical execution engine for envelope evaluation and the first-order
-  /// routes (exec/executor.h): kBatch is the vectorized columnar engine,
-  /// kRow the row-at-a-time oracle. Results are bit-identical either way.
-  ExecEngine exec_engine = ExecEngine::kBatch;
 
   /// Route selection (plan/router.h): kAuto dispatches each query to the
   /// cheapest sound engine (conflict-free plain evaluation → first-order

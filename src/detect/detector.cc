@@ -60,45 +60,93 @@ Status DetectOptions::Validate() const {
   return Status::OK();
 }
 
-/// Shared read-only probe state of one generic-join constraint: the
-/// materialized rowid-emitting scans of every atom, the per-level join
-/// conditions carved out of the constraint condition, and the hash-join
-/// chain built over them. Built exactly once per DetectAll (under `once`,
-/// by whichever partition's worker arrives first); afterwards every
-/// row-range partition probes it concurrently without duplicating any
-/// build work.
+GenericJoinShape ShapeGenericJoin(const DenialConstraint& dc) {
+  struct Pending {
+    ExprPtr expr;
+    int last_atom;
+  };
+  std::vector<Pending> conjuncts;
+  if (dc.condition() != nullptr) {
+    ExprPtr remapped = RemapForRowidLayout(*dc.condition(), dc);
+    // Offsets in the rowid layout: atom i starts at atom_offset(i) + i.
+    for (const Expr* part : SplitConjuncts(*remapped)) {
+      Pending p;
+      p.expr = part->Clone();
+      p.last_atom = 0;
+      for (int idx : CollectColumnIndexes(*p.expr)) {
+        for (int i = static_cast<int>(dc.arity()) - 1; i >= 0; --i) {
+          size_t start = dc.atom_offset(static_cast<size_t>(i)) +
+                         static_cast<size_t>(i);
+          if (static_cast<size_t>(idx) >= start) {
+            p.last_atom = std::max(p.last_atom, i);
+            break;
+          }
+        }
+      }
+      conjuncts.push_back(std::move(p));
+    }
+  }
+  GenericJoinShape shape;
+  shape.level_conds.resize(dc.arity());
+  for (size_t i = 1; i < dc.arity(); ++i) {
+    std::vector<ExprPtr> conds;
+    for (Pending& p : conjuncts) {
+      if (p.expr != nullptr && p.last_atom == static_cast<int>(i)) {
+        conds.push_back(std::move(p.expr));
+      }
+    }
+    if (!conds.empty()) shape.level_conds[i] = AndAll(std::move(conds));
+  }
+  std::vector<ExprPtr> rest;
+  for (Pending& p : conjuncts) {
+    if (p.expr != nullptr) rest.push_back(std::move(p.expr));
+  }
+  if (!rest.empty()) shape.final_filter = AndAll(std::move(rest));
+  return shape;
+}
+
+ExprPtr ForeignKeyCondition(const Catalog& catalog,
+                            const ForeignKeyConstraint& fk) {
+  const Schema& child = catalog.table(fk.child_table()).schema();
+  const Schema& parent = catalog.table(fk.parent_table()).schema();
+  // The child side carries the trailing rowid column, so parent column
+  // refs shift by left_width = child columns + 1.
+  size_t left_width = child.NumColumns() + 1;
+  std::vector<ExprPtr> eqs;
+  for (size_t i = 0; i < fk.child_columns().size(); ++i) {
+    size_t ci = fk.child_columns()[i];
+    size_t pi = fk.parent_columns()[i];
+    eqs.push_back(std::make_unique<ComparisonExpr>(
+        CompareOp::kEq, ColumnRefExpr::Bound(ci, child.column(ci).type),
+        ColumnRefExpr::Bound(left_width + pi, parent.column(pi).type)));
+    eqs.back()->set_result_type(TypeId::kBool);
+  }
+  return AndAll(std::move(eqs));
+}
+
+/// Shared read-only probe state of one generic-join constraint: every
+/// atom's rowid-emitting columnar scan (shared with the table's view; the
+/// physical index IS the RowId row), the constraint's join shape, and the
+/// index-tuple join chain built over them. Built exactly once per
+/// DetectAll (under `once`, by whichever partition's worker arrives
+/// first); afterwards every row-range partition probes it concurrently
+/// without duplicating any build work.
 struct ConflictDetector::GenericShared {
   std::once_flag once;
-  Status status = Status::OK();
-  std::vector<std::vector<Row>> inputs;  ///< per atom; [0] is the probe side
-  std::vector<ExprPtr> level_conds;      ///< [i] joins atom i (null=product)
-  ExprPtr final_filter;                  ///< atom-0-confined conjuncts
-  std::optional<exec::JoinChain> chain;
-  std::vector<size_t> rowid_cols;        ///< rowid column of each atom
-  /// Batch-engine state (engine == kBatch): per-atom columnar scans shared
-  /// with the tables' views (columns + rowid; physical index IS the RowId
-  /// row) and the index-tuple join chain over them. `inputs`/`chain` stay
-  /// empty on this path.
-  std::vector<ColumnBatch> batch_inputs;
-  std::optional<exec::BatchJoinChain> batch_chain;
+  std::vector<ColumnBatch> inputs;  ///< per atom; [0] is the probe side
+  GenericJoinShape shape;
+  std::optional<exec::BatchJoinChain> chain;
 };
 
 /// Shared read-only state of one foreign key's orphan anti-join: the
-/// materialized child (with rowid) and parent scans plus the anti-join
+/// columnar child (with rowid column) and parent scans plus the anti-join
 /// build table over the parent keys.
 struct ConflictDetector::FkShared {
   std::once_flag once;
-  Status status = Status::OK();
-  std::vector<Row> child_rows;   ///< child scan with trailing rowid
-  std::vector<Row> parent_rows;
+  ColumnBatch child;
+  ColumnBatch parent;
   ExprPtr condition;
-  std::optional<exec::AntiJoinProbe> probe;
-  size_t rowid_col = 0;
-  /// Batch-engine state (engine == kBatch): columnar child (with rowid
-  /// column) and parent scans plus the index anti-join over them.
-  ColumnBatch child_batch;
-  ColumnBatch parent_batch;
-  std::optional<exec::BatchAntiJoinProbe> batch_probe;
+  std::optional<exec::BatchAntiJoinProbe> probe;
 };
 
 Status ConflictDetector::DetectGenericPartitionInto(
@@ -109,144 +157,37 @@ Status ConflictDetector::DetectGenericPartitionInto(
   if (num_partitions > 1) ++stats->generic_partitions;
 
   std::call_once(shared->once, [&] {
-    shared->status = [&]() -> Status {
-      // Materialize every atom's rowid-emitting scan once. The batch
-      // engine shares the tables' columnar views instead of copying rows.
-      if (options_.engine == ExecEngine::kBatch) {
-        shared->batch_inputs.reserve(dc.arity());
-        for (size_t i = 0; i < dc.arity(); ++i) {
-          const Table& table = catalog_.table(dc.atoms()[i].table_id);
-          shared->batch_inputs.push_back(
-              ScanTableBatch(table, /*emit_rowid=*/true, nullptr));
-        }
-      } else {
-        shared->inputs.resize(dc.arity());
-        for (size_t i = 0; i < dc.arity(); ++i) {
-          const ConstraintAtom& atom = dc.atoms()[i];
-          const Table& table = catalog_.table(atom.table_id);
-          PlanNodePtr scan =
-              ScanNode::Make(atom.table_id, atom.table_name, atom.alias,
-                             table.schema(), /*emit_rowid=*/true);
-          ExecContext ctx{&catalog_, nullptr};
-          HIPPO_ASSIGN_OR_RETURN(ResultSet rows, Execute(*scan, ctx));
-          shared->inputs[i] = std::move(rows.rows);
-        }
-      }
-
-      // Attach each conjunct at the level where its last atom enters (as
-      // in the planner), so equality conditions become hash joins; the
-      // leftovers (atom-0-confined, or a unary constraint's whole
-      // condition) become the final filter.
-      struct Pending {
-        ExprPtr expr;
-        int last_atom;
-      };
-      std::vector<Pending> conjuncts;
-      if (dc.condition() != nullptr) {
-        ExprPtr remapped = RemapForRowidLayout(*dc.condition(), dc);
-        // Offsets in the rowid layout: atom i starts at atom_offset(i) + i.
-        for (const Expr* part : SplitConjuncts(*remapped)) {
-          Pending p;
-          p.expr = part->Clone();
-          p.last_atom = 0;
-          for (int idx : CollectColumnIndexes(*p.expr)) {
-            for (int i = static_cast<int>(dc.arity()) - 1; i >= 0; --i) {
-              size_t start = dc.atom_offset(static_cast<size_t>(i)) +
-                             static_cast<size_t>(i);
-              if (static_cast<size_t>(idx) >= start) {
-                p.last_atom = std::max(p.last_atom, i);
-                break;
-              }
-            }
-          }
-          conjuncts.push_back(std::move(p));
-        }
-      }
-      shared->level_conds.resize(dc.arity());
-      for (size_t i = 1; i < dc.arity(); ++i) {
-        std::vector<ExprPtr> conds;
-        for (Pending& p : conjuncts) {
-          if (p.expr != nullptr && p.last_atom == static_cast<int>(i)) {
-            conds.push_back(std::move(p.expr));
-          }
-        }
-        if (!conds.empty()) {
-          shared->level_conds[i] = AndAll(std::move(conds));
-        }
-      }
-      {
-        std::vector<ExprPtr> rest;
-        for (Pending& p : conjuncts) {
-          if (p.expr != nullptr) rest.push_back(std::move(p.expr));
-        }
-        if (!rest.empty()) shared->final_filter = AndAll(std::move(rest));
-      }
-
-      if (options_.engine == ExecEngine::kBatch) {
-        std::vector<exec::BatchJoinChain::LevelSpec> levels;
-        for (size_t i = 1; i < dc.arity(); ++i) {
-          levels.push_back(
-              {&shared->batch_inputs[i], shared->level_conds[i].get()});
-        }
-        shared->batch_chain.emplace(&shared->batch_inputs[0],
-                                    std::move(levels),
-                                    shared->final_filter.get());
-      } else {
-        std::vector<exec::JoinChain::LevelSpec> levels;
-        for (size_t i = 1; i < dc.arity(); ++i) {
-          levels.push_back({&shared->inputs[i], shared->level_conds[i].get(),
-                            dc.atom_width(i) + 1});
-        }
-        shared->chain.emplace(dc.atom_width(0) + 1, std::move(levels),
-                              shared->final_filter.get());
-      }
-
-      // The rowid column of atom i sits at atom_offset(i) + i + width(i).
-      for (size_t i = 0; i < dc.arity(); ++i) {
-        shared->rowid_cols.push_back(dc.atom_offset(i) + i +
-                                     dc.atom_width(i));
-      }
-      return Status::OK();
-    }();
-  });
-  HIPPO_RETURN_NOT_OK(shared->status);
-
-  if (options_.engine == ExecEngine::kBatch) {
-    // Index-tuple probe over the shared columnar scans. The scan's
-    // physical index IS the RowId row, so witness rowids come straight
-    // from Physical() — no gather, no Value round-trip.
-    size_t probe_rows = shared->batch_inputs[0].NumRows();
-    size_t begin = probe_rows * partition / num_partitions;
-    size_t end = probe_rows * (partition + 1) / num_partitions;
-    std::vector<uint32_t> tuples;
-    shared->batch_chain->Probe(begin, end, &tuples);
-    size_t arity = shared->batch_chain->tuple_arity();
-    for (size_t t = 0; t + arity <= tuples.size(); t += arity) {
-      std::vector<RowId> edge;
-      edge.reserve(dc.arity());
-      for (size_t i = 0; i < dc.arity(); ++i) {
-        edge.push_back(RowId{dc.atoms()[i].table_id,
-                             shared->batch_inputs[i].Physical(tuples[t + i])});
-      }
-      out->Add(std::move(edge), constraint_index);
-      ++stats->edges_added;
+    shared->inputs.reserve(dc.arity());
+    for (size_t i = 0; i < dc.arity(); ++i) {
+      const Table& table = catalog_.table(dc.atoms()[i].table_id);
+      shared->inputs.push_back(
+          ScanTableBatch(table, /*emit_rowid=*/true, nullptr));
     }
-    return Status::OK();
-  }
+    shared->shape = ShapeGenericJoin(dc);
+    std::vector<exec::BatchJoinChain::LevelSpec> levels;
+    for (size_t i = 1; i < dc.arity(); ++i) {
+      levels.push_back(
+          {&shared->inputs[i], shared->shape.level_conds[i].get()});
+    }
+    shared->chain.emplace(&shared->inputs[0], std::move(levels),
+                          shared->shape.final_filter.get());
+  });
 
-  const std::vector<Row>& probe = shared->inputs[0];
-  size_t begin = probe.size() * partition / num_partitions;
-  size_t end = probe.size() * (partition + 1) / num_partitions;
-  std::vector<Row> witnesses;
-  shared->chain->Probe(probe, begin, end, &witnesses);
-
-  for (const Row& row : witnesses) {
+  // Index-tuple probe over the shared columnar scans. The scan's physical
+  // index IS the RowId row, so witness rowids come straight from
+  // Physical() — no gather, no Value round-trip.
+  size_t probe_rows = shared->inputs[0].NumRows();
+  size_t begin = probe_rows * partition / num_partitions;
+  size_t end = probe_rows * (partition + 1) / num_partitions;
+  std::vector<uint32_t> tuples;
+  shared->chain->Probe(begin, end, &tuples);
+  size_t arity = shared->chain->tuple_arity();
+  for (size_t t = 0; t + arity <= tuples.size(); t += arity) {
     std::vector<RowId> edge;
     edge.reserve(dc.arity());
     for (size_t i = 0; i < dc.arity(); ++i) {
-      edge.push_back(RowId{
-          dc.atoms()[i].table_id,
-          static_cast<uint32_t>(row[shared->rowid_cols[i]].AsInt())});
+      edge.push_back(RowId{dc.atoms()[i].table_id,
+                           shared->inputs[i].Physical(tuples[t + i])});
     }
     out->Add(std::move(edge), constraint_index);
     ++stats->edges_added;
@@ -363,81 +304,23 @@ Status ConflictDetector::DetectForeignKeyPartitionInto(
   if (num_partitions > 1) ++stats->fk_partitions;
 
   std::call_once(shared->once, [&] {
-    shared->status = [&]() -> Status {
-      const Table& child = catalog_.table(fk.child_table());
-      const Table& parent = catalog_.table(fk.parent_table());
-      if (options_.engine == ExecEngine::kBatch) {
-        shared->child_batch =
-            ScanTableBatch(child, /*emit_rowid=*/true, nullptr);
-        shared->parent_batch =
-            ScanTableBatch(parent, /*emit_rowid=*/false, nullptr);
-      } else {
-        PlanNodePtr child_scan =
-            ScanNode::Make(child.id(), child.name(), child.name(),
-                           child.schema(), /*emit_rowid=*/true);
-        PlanNodePtr parent_scan = ScanNode::Make(
-            parent.id(), parent.name(), parent.name(), parent.schema());
-        ExecContext ctx{&catalog_, nullptr};
-        HIPPO_ASSIGN_OR_RETURN(ResultSet child_rows,
-                               Execute(*child_scan, ctx));
-        HIPPO_ASSIGN_OR_RETURN(ResultSet parent_rows,
-                               Execute(*parent_scan, ctx));
-        shared->child_rows = std::move(child_rows.rows);
-        shared->parent_rows = std::move(parent_rows.rows);
-      }
-
-      // The anti-join keeps child rows with NO parent match: the orphans.
-      // Note the child side carries the trailing rowid column, so parent
-      // column refs shift by left_width = child columns + 1.
-      size_t left_width = child.schema().NumColumns() + 1;
-      std::vector<ExprPtr> eqs;
-      for (size_t i = 0; i < fk.child_columns().size(); ++i) {
-        size_t ci = fk.child_columns()[i];
-        size_t pi = fk.parent_columns()[i];
-        eqs.push_back(std::make_unique<ComparisonExpr>(
-            CompareOp::kEq,
-            ColumnRefExpr::Bound(ci, child.schema().column(ci).type),
-            ColumnRefExpr::Bound(left_width + pi,
-                                 parent.schema().column(pi).type)));
-        eqs.back()->set_result_type(TypeId::kBool);
-      }
-      shared->condition = AndAll(std::move(eqs));
-      if (options_.engine == ExecEngine::kBatch) {
-        shared->batch_probe.emplace(&shared->child_batch,
-                                    &shared->parent_batch,
-                                    shared->condition.get());
-      } else {
-        shared->probe.emplace(&shared->parent_rows, shared->condition.get(),
-                              left_width);
-      }
-      shared->rowid_col = child.schema().NumColumns();
-      return Status::OK();
-    }();
+    shared->child = ScanTableBatch(catalog_.table(fk.child_table()),
+                                   /*emit_rowid=*/true, nullptr);
+    shared->parent = ScanTableBatch(catalog_.table(fk.parent_table()),
+                                    /*emit_rowid=*/false, nullptr);
+    // The anti-join keeps child rows with NO parent match: the orphans.
+    shared->condition = ForeignKeyCondition(catalog_, fk);
+    shared->probe.emplace(&shared->child, &shared->parent,
+                          shared->condition.get());
   });
-  HIPPO_RETURN_NOT_OK(shared->status);
 
-  if (options_.engine == ExecEngine::kBatch) {
-    size_t child_rows = shared->child_batch.NumRows();
-    size_t begin = child_rows * partition / num_partitions;
-    size_t end = child_rows * (partition + 1) / num_partitions;
-    std::vector<uint32_t> orphans;
-    shared->batch_probe->Probe(begin, end, &orphans);
-    for (uint32_t idx : orphans) {
-      out->Add({RowId{fk.child_table(), shared->child_batch.Physical(idx)}},
-               constraint_index);
-      ++stats->edges_added;
-    }
-    return Status::OK();
-  }
-
-  const std::vector<Row>& child_rows = shared->child_rows;
-  size_t begin = child_rows.size() * partition / num_partitions;
-  size_t end = child_rows.size() * (partition + 1) / num_partitions;
-  std::vector<Row> orphans;
-  shared->probe->Probe(child_rows, begin, end, &orphans);
-  for (const Row& row : orphans) {
-    out->Add({RowId{fk.child_table(),
-                    static_cast<uint32_t>(row[shared->rowid_col].AsInt())}},
+  size_t child_rows = shared->child.NumRows();
+  size_t begin = child_rows * partition / num_partitions;
+  size_t end = child_rows * (partition + 1) / num_partitions;
+  std::vector<uint32_t> orphans;
+  shared->probe->Probe(begin, end, &orphans);
+  for (uint32_t idx : orphans) {
+    out->Add({RowId{fk.child_table(), shared->child.Physical(idx)}},
              constraint_index);
     ++stats->edges_added;
   }

@@ -23,7 +23,7 @@
 #include "common/status.h"
 #include "constraints/constraint.h"
 #include "constraints/foreign_key.h"
-#include "exec/executor.h"
+#include "expr/expr.h"
 #include "hypergraph/hypergraph.h"
 
 namespace hippo {
@@ -58,23 +58,13 @@ struct DetectOptions {
   /// Minimum probe-side live rows of a generic-join constraint (or child
   /// rows of a foreign key) per row-range partition: when num_threads > 1
   /// and the probe side exceeds this, the unit is split into contiguous
-  /// partitions of the materialized probe input. The build sides are
-  /// materialized and hash-built ONCE per constraint (by the first worker
+  /// partitions of the probe-side scan. The build sides are scanned and
+  /// hash-built ONCE per constraint (by the first worker
   /// to arrive, under a once-flag) and probed read-only by every
   /// partition, so a single hot generic constraint parallelizes without
   /// duplicating build work. Must be >= 1 (Validate); use SIZE_MAX to
   /// disable probe partitioning.
   size_t partition_rows = 8192;
-
-  /// Physical engine for the generic-join and foreign-key probes: kBatch
-  /// probes the tables' shared columnar views with the batch join kernels
-  /// (witness rowids read straight off the scan's physical indexes, no row
-  /// materialization); kRow keeps the row-at-a-time kernels as the
-  /// differential-testing oracle. Both produce identical edges, edge ids,
-  /// and provenance. The FD fast path is engine-independent. Declared last
-  /// so the positional `{fast_path, threads, shard, partition}` brace
-  /// initializers in existing callers stay valid.
-  ExecEngine engine = ExecEngine::kBatch;
 
   /// Rejects nonsensical combinations with InvalidArgument instead of a
   /// silent fallback: zero shard_rows / partition_rows (formerly a hidden
@@ -86,6 +76,27 @@ struct DetectOptions {
   /// machine; catches garbage (e.g. size_t underflow) early.
   static constexpr size_t kMaxThreads = 4096;
 };
+
+/// How the generic path evaluates a denial constraint: a left-deep join
+/// over the atoms' rowid-emitting scans (atom i's columns start at
+/// atom_offset(i) + i, its rowid follows them). Each conjunct of the
+/// condition joins at the level where its last atom enters, so equalities
+/// become hash joins; the leftovers (atom-0-confined conjuncts, or a unary
+/// constraint's whole condition) form the final filter.
+struct GenericJoinShape {
+  /// [i] joins atom i onto atoms 0..i-1; null = product. [0] is unused.
+  std::vector<ExprPtr> level_conds;
+  /// Applied to complete witness rows; null = none.
+  ExprPtr final_filter;
+};
+
+GenericJoinShape ShapeGenericJoin(const DenialConstraint& dc);
+
+/// The condition of a foreign key's orphan anti-join: child key = parent
+/// key, bound over concat(child row, child rowid, parent row). Orphans are
+/// the child rows with no parent row satisfying it.
+ExprPtr ForeignKeyCondition(const Catalog& catalog,
+                            const ForeignKeyConstraint& fk);
 
 struct DetectStats {
   size_t edges_added = 0;
@@ -134,7 +145,7 @@ class ConflictDetector {
 
  private:
   // Lazily-built shared read-only state for one partitioned work unit (the
-  // materialized inputs plus the hash-join build tables); defined in
+  // columnar scans plus the hash-join build tables); defined in
   // detector.cc, built under a once-flag by the first partition's worker.
   struct GenericShared;
   struct FkShared;

@@ -251,9 +251,9 @@ void EvalPredicateMask(const Expr& expr, const ColumnBatch& batch,
         MaskNotInPlace(out, n);
         return;
       }
-      // Kleene AND/OR fold over child masks. The row engine short-circuits
-      // child *evaluation*, but children are side-effect free, so folding
-      // complete masks yields identical truth values.
+      // Kleene AND/OR fold over child masks. The scalar evaluator
+      // short-circuits child *evaluation*, but children are side-effect
+      // free, so folding complete masks yields identical truth values.
       EvalPredicateMask(log.child(0), batch, begin, end, out);
       std::vector<int8_t> tmp(n);
       bool is_and = log.op() == LogicalOp::kAnd;

@@ -12,7 +12,7 @@
 //  - EvalExprOver: scalar evaluation over an *accessor* (virtual column
 //    index -> Value) instead of a materialized Row. Batch joins evaluate
 //    residuals and final filters over index tuples with it, never building
-//    the concatenated work row the row engine maintains.
+//    the concatenated work row of a row-at-a-time join.
 //
 // The ternary encoding matches the evaluator's Value results: kTernFalse /
 // kTernTrue are Bool(false)/Bool(true), kTernNull is Value::Null().

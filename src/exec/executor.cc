@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/parallel.h"
 #include "exec/batch_eval.h"
@@ -67,220 +66,12 @@ ColumnBatch ScanTableBatch(const Table& table, bool emit_rowid,
 
 namespace {
 
-size_t PartitionsFor(size_t rows, const ExecParallel& parallel) {
-  return ExecPartitionsFor(rows, parallel);
-}
-
-Result<std::vector<Row>> ExecuteRows(const PlanNode& plan,
-                                     const ExecContext& ctx);
-
-/// Partition-parallel map: runs `fn(begin, end, &slice)` over contiguous
-/// row ranges of [0, n) and concatenates the slice outputs in partition
-/// order — bit-identical to fn(0, n, &out) because every operator using it
-/// emits rows in input order within a range.
-template <typename Fn>
-std::vector<Row> PartitionedRows(size_t n, const ExecParallel& parallel,
-                                 const Fn& fn) {
-  size_t parts = PartitionsFor(n, parallel);
-  if (parts <= 1) {
-    std::vector<Row> out;
-    fn(size_t{0}, n, &out);
-    return out;
-  }
-  std::vector<std::vector<Row>> slices(parts);
-  ParallelSlices(n, parts, [&](size_t p, size_t begin, size_t end) {
-    fn(begin, end, &slices[p]);
-  });
-  std::vector<Row> out = std::move(slices[0]);
-  size_t total = out.size();
-  for (size_t p = 1; p < parts; ++p) total += slices[p].size();
-  out.reserve(total);
-  for (size_t p = 1; p < parts; ++p) {
-    for (Row& r : slices[p]) out.push_back(std::move(r));
-  }
-  return out;
-}
-
-Result<std::vector<Row>> ExecuteScan(const ScanNode& scan,
-                                     const ExecContext& ctx) {
-  const Table& table = ctx.catalog->table(scan.table_id());
-  std::vector<Row> out;
-  out.reserve(table.NumRows());
-  for (uint32_t i = 0; i < table.NumRows(); ++i) {
-    if (!table.IsLive(i)) continue;
-    if (ctx.mask != nullptr &&
-        !ctx.mask->Allows(RowId{scan.table_id(), i})) {
-      continue;
-    }
-    Row row = table.row(i);
-    if (scan.emit_rowid()) {
-      row.push_back(Value::Int(static_cast<int64_t>(i)));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
-Result<std::vector<Row>> ExecuteRowsNode(const PlanNode& plan,
-                                         const ExecContext& ctx) {
-  switch (plan.kind()) {
-    case PlanKind::kScan:
-      return ExecuteScan(static_cast<const ScanNode&>(plan), ctx);
-    case PlanKind::kFilter: {
-      const auto& filter = static_cast<const FilterNode&>(plan);
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> in,
-                             ExecuteRows(plan.child(0), ctx));
-      return PartitionedRows(
-          in.size(), ctx.parallel,
-          [&](size_t begin, size_t end, std::vector<Row>* out) {
-            for (size_t i = begin; i < end; ++i) {
-              if (EvalPredicate(filter.predicate(), in[i])) {
-                out->push_back(std::move(in[i]));
-              }
-            }
-          });
-    }
-    case PlanKind::kProject: {
-      const auto& proj = static_cast<const ProjectNode&>(plan);
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> in,
-                             ExecuteRows(plan.child(0), ctx));
-      // Expression evaluation partitions; the dedup stays serial (first
-      // occurrence over the concatenation = the serial dedup order).
-      return exec::DedupRows(PartitionedRows(
-          in.size(), ctx.parallel,
-          [&](size_t begin, size_t end, std::vector<Row>* out) {
-            for (size_t i = begin; i < end; ++i) {
-              Row mapped;
-              mapped.reserve(proj.NumExprs());
-              for (size_t e = 0; e < proj.NumExprs(); ++e) {
-                mapped.push_back(EvalExpr(proj.expr(e), in[i]));
-              }
-              out->push_back(std::move(mapped));
-            }
-          }));
-    }
-    case PlanKind::kProduct: {
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> left,
-                             ExecuteRows(plan.child(0), ctx));
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> right,
-                             ExecuteRows(plan.child(1), ctx));
-      return PartitionedRows(
-          left.size(), ctx.parallel,
-          [&](size_t begin, size_t end, std::vector<Row>* out) {
-            out->reserve((end - begin) * right.size());
-            for (size_t i = begin; i < end; ++i) {
-              for (const Row& r : right) {
-                Row joined = left[i];
-                joined.insert(joined.end(), r.begin(), r.end());
-                out->push_back(std::move(joined));
-              }
-            }
-          });
-    }
-    case PlanKind::kJoin: {
-      const auto& join = static_cast<const JoinNode&>(plan);
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> left,
-                             ExecuteRows(plan.child(0), ctx));
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> right,
-                             ExecuteRows(plan.child(1), ctx));
-      // Build once (serial), probe partitioned: each range probes the
-      // shared read-only hash table.
-      exec::JoinChain chain(
-          plan.child(0).schema().NumColumns(),
-          {{&right, &join.condition(),
-            plan.child(1).schema().NumColumns()}},
-          nullptr);
-      return PartitionedRows(
-          left.size(), ctx.parallel,
-          [&](size_t begin, size_t end, std::vector<Row>* out) {
-            chain.Probe(left, begin, end, out);
-          });
-    }
-    case PlanKind::kAntiJoin: {
-      const auto& aj = static_cast<const AntiJoinNode&>(plan);
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> left,
-                             ExecuteRows(plan.child(0), ctx));
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> right,
-                             ExecuteRows(plan.child(1), ctx));
-      exec::AntiJoinProbe probe(&right, &aj.condition(),
-                                plan.child(0).schema().NumColumns());
-      return PartitionedRows(
-          left.size(), ctx.parallel,
-          [&](size_t begin, size_t end, std::vector<Row>* out) {
-            probe.Probe(left, begin, end, out);
-          });
-    }
-    case PlanKind::kUnion: {
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> left,
-                             ExecuteRows(plan.child(0), ctx));
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> right,
-                             ExecuteRows(plan.child(1), ctx));
-      return exec::UnionRows(std::move(left), right);
-    }
-    case PlanKind::kDifference: {
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> left,
-                             ExecuteRows(plan.child(0), ctx));
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> right,
-                             ExecuteRows(plan.child(1), ctx));
-      return exec::DifferenceRows(left, right);
-    }
-    case PlanKind::kIntersect: {
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> left,
-                             ExecuteRows(plan.child(0), ctx));
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> right,
-                             ExecuteRows(plan.child(1), ctx));
-      return exec::IntersectRows(left, right);
-    }
-    case PlanKind::kAggregate: {
-      const auto& agg = static_cast<const AggregateNode&>(plan);
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> in,
-                             ExecuteRows(plan.child(0), ctx));
-      return exec::AggregateRows(agg, in);
-    }
-    case PlanKind::kSort: {
-      const auto& sort = static_cast<const SortNode&>(plan);
-      HIPPO_ASSIGN_OR_RETURN(std::vector<Row> in,
-                             ExecuteRows(plan.child(0), ctx));
-      std::stable_sort(in.begin(), in.end(),
-                       [&sort](const Row& a, const Row& b) {
-                         for (const SortNode::Key& k : sort.keys()) {
-                           Value va = EvalExpr(*k.expr, a);
-                           Value vb = EvalExpr(*k.expr, b);
-                           int c = va.Compare(vb);
-                           if (c != 0) return k.ascending ? c < 0 : c > 0;
-                         }
-                         return false;
-                       });
-      return in;
-    }
-  }
-  return Status::Internal("unknown plan kind in executor");
-}
-
-/// Trace-aware entry for one row-engine operator: with a trace sink, the
-/// operator (and, via the child context, its whole subtree) runs inside a
-/// child span that records the output cardinality.
-Result<std::vector<Row>> ExecuteRows(const PlanNode& plan,
-                                     const ExecContext& ctx) {
-  if (ctx.trace == nullptr) return ExecuteRowsNode(plan, ctx);
-  obs::TraceSpan* span = ctx.trace->StartChild(plan.NodeLabel());
-  ExecContext child = ctx;
-  child.trace = span;
-  Result<std::vector<Row>> result = ExecuteRowsNode(plan, child);
-  if (result.ok()) {
-    span->SetAttr("rows", static_cast<int64_t>(result.value().size()));
-  }
-  span->End();
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Columnar (batch) engine. Every case produces the same logical rows in the
-// same order as the ExecuteRows case above — filters and anti-joins narrow
-// selection vectors over shared columns, joins gather index tuples, and the
-// row-semantics operators (set ops, aggregation) round-trip through the row
-// kernels so there is exactly one implementation of their semantics.
-// ---------------------------------------------------------------------------
+// Every case produces the same logical rows in the same order as the row
+// oracle (tests/oracle/row_engine.h): filters and anti-joins narrow
+// selection vectors over shared columns, joins gather index tuples, and
+// the row-semantics operators (set ops, aggregation) round-trip through
+// the row kernels so there is exactly one implementation of their
+// semantics.
 
 std::vector<TypeId> SchemaTypes(const Schema& schema) {
   std::vector<TypeId> types;
@@ -292,13 +83,16 @@ std::vector<TypeId> SchemaTypes(const Schema& schema) {
 Result<ColumnBatch> ExecuteBatch(const PlanNode& plan,
                                  const ExecContext& ctx);
 
-/// Partition-parallel index collector: like PartitionedRows but for the
-/// uint32 outputs of the batch kernels (index tuples, surviving indexes).
+/// Partition-parallel index collector: runs `fn(begin, end, &slice)` over
+/// contiguous row ranges of [0, n) and concatenates the uint32 outputs of
+/// the batch kernels (index tuples, surviving indexes) in partition order —
+/// bit-identical to fn(0, n, &out), since every kernel emits in input order
+/// within a range.
 template <typename Fn>
 std::vector<uint32_t> PartitionedIndexes(size_t n,
                                          const ExecParallel& parallel,
                                          const Fn& fn) {
-  size_t parts = PartitionsFor(n, parallel);
+  size_t parts = ExecPartitionsFor(n, parallel);
   if (parts <= 1) {
     std::vector<uint32_t> out;
     fn(size_t{0}, n, &out);
@@ -322,7 +116,7 @@ ColumnBatch FilterBatch(const Expr& pred, const ColumnBatch& in,
                         const ExecParallel& parallel) {
   size_t n = in.NumRows();
   std::vector<int8_t> mask(n);
-  size_t parts = PartitionsFor(n, parallel);
+  size_t parts = ExecPartitionsFor(n, parallel);
   if (parts <= 1) {
     exec::EvalPredicateMask(pred, in, 0, n, mask.data());
   } else {
@@ -358,7 +152,7 @@ ColumnBatch ProjectBatch(const ProjectNode& proj, const ColumnBatch& in,
   // Computed projection: evaluate every expression densely (identity
   // selection), partitioned in row ranges and concatenated in order.
   size_t n = in.NumRows();
-  size_t parts = PartitionsFor(n, parallel);
+  size_t parts = ExecPartitionsFor(n, parallel);
   std::vector<ColumnVectorPtr> cols;
   cols.reserve(proj.NumExprs());
   for (size_t e = 0; e < proj.NumExprs(); ++e) {
@@ -512,7 +306,7 @@ Result<ColumnBatch> ExecuteBatchNode(const PlanNode& plan,
       }
       if (key_refs) {
         // Sort logical indexes by key columns: zero-copy, same stable
-        // order as the row engine (CompareAt == Value::Compare).
+        // order as the row sort below (CompareAt == Value::Compare).
         std::vector<uint32_t> order(in.NumRows());
         for (size_t i = 0; i < order.size(); ++i) {
           order[i] = static_cast<uint32_t>(i);
@@ -548,7 +342,9 @@ Result<ColumnBatch> ExecuteBatchNode(const PlanNode& plan,
   return Status::Internal("unknown plan kind in executor");
 }
 
-/// Trace-aware entry for one batch-engine operator (see ExecuteRows).
+/// Trace-aware entry for one operator: with a trace sink, the operator
+/// (and, via the child context, its whole subtree) runs inside a child span
+/// that records the output cardinality.
 Result<ColumnBatch> ExecuteBatch(const PlanNode& plan,
                                  const ExecContext& ctx) {
   if (ctx.trace == nullptr) return ExecuteBatchNode(plan, ctx);
@@ -567,10 +363,6 @@ Result<ColumnBatch> ExecuteBatch(const PlanNode& plan,
 
 Result<ResultSet> Execute(const PlanNode& plan, const ExecContext& ctx) {
   HIPPO_CHECK(ctx.catalog != nullptr);
-  if (ctx.engine == ExecEngine::kRow) {
-    HIPPO_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecuteRows(plan, ctx));
-    return ResultSet{plan.schema(), std::move(rows)};
-  }
   HIPPO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(plan, ctx));
   return ResultSet{plan.schema(), batch.ToRows()};
 }

@@ -61,12 +61,12 @@ class RowMask {
 };
 
 /// Intra-operator parallelism knobs for Execute (see executor.cc): with
-/// more than one thread, the row-at-a-time operators (filter, project
-/// pre-dedup, join/anti-join probe, product) split their input into
-/// contiguous row-range partitions evaluated concurrently and concatenated
-/// in partition order, so the output — rows AND row order — is
-/// bit-identical to the serial run. Hash builds, dedup, set operations,
-/// aggregation, and sort stay serial.
+/// more than one thread, filter masks, computed projections, and join and
+/// anti-join probes split their input into contiguous row-range partitions
+/// evaluated concurrently and concatenated in partition order, so the
+/// output — rows AND row order — is bit-identical to the serial run. Scans,
+/// column-reference projections, products, hash builds, dedup, set
+/// operations, aggregation, and sort stay serial.
 struct ExecParallel {
   /// 1 = serial (default); 0 = one per hardware thread
   /// (ResolveThreadCount).
@@ -76,13 +76,6 @@ struct ExecParallel {
   /// serially so tiny operators don't pay thread spawn overhead.
   size_t min_partition_rows = 4096;
 };
-
-/// Which physical engine Execute uses. Both produce bit-identical
-/// ResultSets (rows AND order); kBatch is the vectorized columnar engine
-/// (typed column vectors, selection-vector filters, index-tuple joins over
-/// Table's lazily-materialized columnar view), kRow is the original
-/// row-at-a-time engine, kept as the differential-testing oracle.
-enum class ExecEngine : uint8_t { kBatch, kRow };
 
 /// Execution environment: the catalog, an optional row mask, and the
 /// intra-operator parallelism knobs.
@@ -97,7 +90,6 @@ struct ExecContext {
   const Catalog* catalog = nullptr;
   const RowMask* mask = nullptr;
   ExecParallel parallel;
-  ExecEngine engine = ExecEngine::kBatch;
 
   /// Optional trace sink: when set, Execute wraps every operator in a
   /// child span named by NodeLabel() and records its output cardinality.
@@ -108,15 +100,16 @@ struct ExecContext {
   obs::TraceSpan* trace = nullptr;
 };
 
-/// Executes a bound plan to completion. With ctx.parallel.num_threads > 1
-/// the result is still bit-identical (rows and order) to the serial run,
-/// and the batch and row engines agree bit-for-bit.
+/// Executes a bound plan to completion on the vectorized columnar engine
+/// (typed column vectors, selection-vector filters, index-tuple joins over
+/// Table's lazily-materialized columnar view). With
+/// ctx.parallel.num_threads > 1 the result is still bit-identical (rows and
+/// order) to the serial run.
 Result<ResultSet> Execute(const PlanNode& plan, const ExecContext& ctx);
 
 /// Number of row-range partitions an operator over `rows` input rows
 /// should split into under `parallel`: 1 unless parallelism is enabled AND
-/// every partition gets at least min_partition_rows. Shared by both
-/// engines and the batch kernels.
+/// every partition gets at least min_partition_rows.
 size_t ExecPartitionsFor(size_t rows, const ExecParallel& parallel);
 
 /// Zero-copy columnar scan of a table: shares the table's memoized

@@ -12,28 +12,7 @@ namespace {
 
 using RowSet = std::unordered_set<Row, RowHasher, RowEq>;
 
-Row ConcatRow(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
-}
-
-Row KeyOf(const Row& row, const std::vector<int>& indexes) {
-  Row key;
-  key.reserve(indexes.size());
-  for (int i : indexes) key.push_back(row[static_cast<size_t>(i)]);
-  return key;
-}
-
-/// Builds (left key indexes, right key indexes, residual) from `condition`.
-struct JoinSplit {
-  std::vector<int> left_keys;
-  std::vector<int> right_keys;
-  ExprPtr residual;
-  bool HasEqui() const { return !left_keys.empty(); }
-};
+}  // namespace
 
 JoinSplit SplitCondition(const Expr& condition, size_t left_width) {
   JoinSplit split;
@@ -44,151 +23,6 @@ JoinSplit SplitCondition(const Expr& condition, size_t left_width) {
     split.right_keys.push_back(p.right_index);
   }
   return split;
-}
-
-/// NULL join keys never match (SQL equality semantics).
-bool KeyHasNull(const Row& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
-/// Appends `r` to `*work`, leaving restoration to the caller (resize back
-/// to the recorded width) — the DFS probe reuses one buffer per thread.
-void AppendRow(Row* work, const Row& r) {
-  work->insert(work->end(), r.begin(), r.end());
-}
-
-}  // namespace
-
-JoinChain::JoinChain(size_t probe_width, std::vector<LevelSpec> levels,
-                     const Expr* final_filter)
-    : final_filter_(final_filter), output_width_(probe_width) {
-  levels_.reserve(levels.size());
-  for (LevelSpec& spec : levels) {
-    Level level;
-    level.rows = spec.build_rows;
-    level.width = spec.build_width;
-    level.condition = spec.condition;
-    level.has_equi = false;
-    if (spec.condition != nullptr) {
-      JoinSplit split = SplitCondition(*spec.condition, output_width_);
-      if (split.HasEqui()) {
-        level.has_equi = true;
-        level.left_keys = std::move(split.left_keys);
-        level.residual = std::move(split.residual);
-        level.build.reserve(level.rows->size());
-        for (uint32_t i = 0; i < level.rows->size(); ++i) {
-          Row key = KeyOf((*level.rows)[i], split.right_keys);
-          if (KeyHasNull(key)) continue;
-          level.build[std::move(key)].push_back(i);
-        }
-      }
-    }
-    output_width_ += level.width;
-    levels_.push_back(std::move(level));
-  }
-}
-
-void JoinChain::Descend(size_t level, Row* work,
-                        std::vector<Row>* out) const {
-  if (level == levels_.size()) {
-    if (final_filter_ == nullptr || EvalPredicate(*final_filter_, *work)) {
-      out->push_back(*work);
-    }
-    return;
-  }
-  const Level& L = levels_[level];
-  size_t prefix = work->size();
-  if (L.has_equi) {
-    Row key = KeyOf(*work, L.left_keys);
-    if (KeyHasNull(key)) return;
-    auto it = L.build.find(key);
-    if (it == L.build.end()) return;
-    for (uint32_t r : it->second) {
-      AppendRow(work, (*L.rows)[r]);
-      if (L.residual == nullptr || EvalPredicate(*L.residual, *work)) {
-        Descend(level + 1, work, out);
-      }
-      work->resize(prefix);
-    }
-    return;
-  }
-  for (const Row& r : *L.rows) {
-    AppendRow(work, r);
-    if (L.condition == nullptr || EvalPredicate(*L.condition, *work)) {
-      Descend(level + 1, work, out);
-    }
-    work->resize(prefix);
-  }
-}
-
-void JoinChain::Probe(const std::vector<Row>& probe_rows, size_t begin,
-                      size_t end, std::vector<Row>* out) const {
-  Row work;
-  work.reserve(output_width_);
-  for (size_t i = begin; i < end; ++i) {
-    work.assign(probe_rows[i].begin(), probe_rows[i].end());
-    Descend(0, &work, out);
-  }
-}
-
-AntiJoinProbe::AntiJoinProbe(const std::vector<Row>* right,
-                             const Expr* condition, size_t left_width)
-    : right_(right), condition_(condition) {
-  JoinSplit split = SplitCondition(*condition, left_width);
-  has_equi_ = split.HasEqui();
-  if (!has_equi_) return;
-  left_keys_ = std::move(split.left_keys);
-  residual_ = std::move(split.residual);
-  build_.reserve(right_->size());
-  for (uint32_t i = 0; i < right_->size(); ++i) {
-    Row key = KeyOf((*right_)[i], split.right_keys);
-    if (KeyHasNull(key)) continue;
-    build_[std::move(key)].push_back(i);
-  }
-}
-
-void AntiJoinProbe::Probe(const std::vector<Row>& left, size_t begin,
-                          size_t end, std::vector<Row>* out) const {
-  for (size_t i = begin; i < end; ++i) {
-    const Row& l = left[i];
-    bool matched = false;
-    if (has_equi_) {
-      Row key = KeyOf(l, left_keys_);
-      if (!KeyHasNull(key)) {
-        auto it = build_.find(key);
-        if (it != build_.end()) {
-          if (residual_ == nullptr) {
-            matched = true;
-          } else {
-            for (uint32_t r : it->second) {
-              if (EvalPredicate(*residual_, ConcatRow(l, (*right_)[r]))) {
-                matched = true;
-                break;
-              }
-            }
-          }
-        }
-      }
-    } else {
-      for (const Row& r : *right_) {
-        if (EvalPredicate(*condition_, ConcatRow(l, r))) {
-          matched = true;
-          break;
-        }
-      }
-    }
-    if (!matched) out->push_back(l);
-  }
-}
-
-void AntiJoinRows(const std::vector<Row>& left, const std::vector<Row>& right,
-                  const Expr& condition, size_t left_width,
-                  std::vector<Row>* out) {
-  AntiJoinProbe probe(&right, &condition, left_width);
-  probe.Probe(left, 0, left.size(), out);
 }
 
 std::vector<Row> DedupRows(std::vector<Row> rows) {

@@ -1,17 +1,16 @@
-// Join, set-operation, and aggregation kernels shared by the executor.
+// Join, set-operation, and aggregation kernels shared by the executor and
+// conflict detection.
 //
-// The hash-join kernels are the shared-build classes JoinChain /
-// AntiJoinProbe: they hash the build side(s) once and then let any number
-// of threads probe disjoint row ranges concurrently — the partition-aware
-// probe path used by parallel conflict detection and the (serial or
-// partitioned) executor. AntiJoinRows remains as a one-shot convenience
-// wrapper (build + probe in a single call) over AntiJoinProbe, so both
-// shapes share one implementation of the join semantics (equi-key
-// extraction, NULL keys never match, residual evaluation, match order).
+// The join kernels are the shared-build classes BatchJoinChain /
+// BatchAntiJoinProbe: they hash the build side(s) of ColumnBatch inputs
+// once and then let any number of threads probe disjoint row ranges
+// concurrently — the partition-aware probe path used by parallel conflict
+// detection and the (serial or partitioned) executor. The set operations
+// and aggregation are row kernels; the executor round-trips batches
+// through them, so each has exactly one implementation.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/executor.h"
@@ -28,92 +27,18 @@ namespace hippo::exec {
 Result<std::vector<Row>> AggregateRows(const AggregateNode& agg,
                                        const std::vector<Row>& input);
 
-/// \brief A left-deep chain of hash/nested-loop joins whose build sides
-/// are hashed once and probed read-only.
-///
-/// Level i joins the accumulated prefix (probe input + build sides of the
-/// levels before it) against `build_rows` under `condition` (bound over
-/// the concatenated schema; null condition = cartesian product). After
-/// construction the chain is immutable: Probe() is const and thread-safe,
-/// so disjoint slices of the probe input can be evaluated concurrently —
-/// each partition pays zero build cost. Probe(out) appends result rows in
-/// exactly the order the materializing executor produces for the same
-/// left-deep plan (probe order outer, build-insertion order inner, level
-/// by level), so slice outputs concatenated in slice order are
-/// bit-identical to a serial evaluation.
-class JoinChain {
- public:
-  struct LevelSpec {
-    /// Materialized build input. Not owned; must outlive the chain.
-    const std::vector<Row>* build_rows = nullptr;
-    /// Join condition over concat(prefix, build row); null for a product.
-    /// Not owned; must outlive the chain.
-    const Expr* condition = nullptr;
-    /// Column count of one build row (needed when build_rows is empty).
-    size_t build_width = 0;
-  };
-
-  /// `probe_width`: column count of one probe row. `final_filter`
-  /// (optional, not owned) is applied to complete output rows.
-  JoinChain(size_t probe_width, std::vector<LevelSpec> levels,
-            const Expr* final_filter);
-
-  /// Evaluates probe rows [begin, end) through the chain, appending
-  /// result rows (width = probe + all build widths) to `out`.
-  void Probe(const std::vector<Row>& probe_rows, size_t begin, size_t end,
-             std::vector<Row>* out) const;
-
-  size_t output_width() const { return output_width_; }
-
- private:
-  struct Level {
-    const std::vector<Row>* rows;
-    size_t width;
-    bool has_equi;
-    std::vector<int> left_keys;   ///< indexes into the accumulated prefix
-    ExprPtr residual;             ///< owned remainder of an equi condition
-    const Expr* condition;        ///< full condition for the NL/product path
-    /// Equi-key hash table: key -> indexes into `rows`, insertion order.
-    std::unordered_map<Row, std::vector<uint32_t>, RowHasher, RowEq> build;
-  };
-
-  void Descend(size_t level, Row* work, std::vector<Row>* out) const;
-
-  std::vector<Level> levels_;
-  const Expr* final_filter_;
-  size_t output_width_;
+/// An equi-join condition over concat(left row, right row), split into
+/// the left and right key column indexes of its column = column conjuncts
+/// plus the residual of everything else (null when nothing is left).
+struct JoinSplit {
+  std::vector<int> left_keys;
+  std::vector<int> right_keys;
+  ExprPtr residual;
+  bool HasEqui() const { return !left_keys.empty(); }
 };
 
-/// \brief Anti-join with a shared build side: left rows with NO right
-/// partner satisfying `condition`.
-///
-/// Builds the right-side hash table (or keeps the nested-loop fallback
-/// input) once; Probe() is const and thread-safe, so disjoint slices of
-/// the left input can run concurrently. Output order within a slice is
-/// left order, as AntiJoinRows produces.
-class AntiJoinProbe {
- public:
-  /// `right` and `condition` are not owned and must outlive the probe.
-  AntiJoinProbe(const std::vector<Row>* right, const Expr* condition,
-                size_t left_width);
-
-  /// Appends every left row in [begin, end) with no right match to `out`.
-  void Probe(const std::vector<Row>& left, size_t begin, size_t end,
-             std::vector<Row>* out) const;
-
- private:
-  const std::vector<Row>* right_;
-  const Expr* condition_;
-  bool has_equi_;
-  std::vector<int> left_keys_;
-  ExprPtr residual_;
-  std::unordered_map<Row, std::vector<uint32_t>, RowHasher, RowEq> build_;
-};
-
-/// Anti join: rows of `left` with no `right` partner satisfying `condition`.
-void AntiJoinRows(const std::vector<Row>& left, const std::vector<Row>& right,
-                  const Expr& condition, size_t left_width,
-                  std::vector<Row>* out);
+/// Splits `condition`, whose first `left_width` columns are the left side.
+JoinSplit SplitCondition(const Expr& condition, size_t left_width);
 
 /// Set operations (inputs need not be deduplicated; outputs are sets).
 std::vector<Row> UnionRows(std::vector<Row> left,
@@ -127,11 +52,12 @@ std::vector<Row> IntersectRows(const std::vector<Row>& left,
 std::vector<Row> DedupRows(std::vector<Row> rows);
 
 // ---------------------------------------------------------------------------
-// Columnar (batch) kernels — bit-identical counterparts of the row kernels
-// above. They operate on logical row *indexes* into shared ColumnBatches:
-// joins emit flat index tuples instead of materialized rows, anti-joins emit
-// surviving left indexes (a selection narrowing), and key hashes are
-// computed over column slices via ColumnVector::HashAt (== Value::Hash).
+// Columnar (batch) kernels. They operate on logical row *indexes* into
+// shared ColumnBatches: joins emit flat index tuples instead of materialized
+// rows, anti-joins emit surviving left indexes (a selection narrowing), and
+// key hashes are computed over column slices via ColumnVector::HashAt
+// (== Value::Hash). Each is bit-identical to its row counterpart in the
+// test oracle (tests/oracle/row_engine.h).
 // ---------------------------------------------------------------------------
 
 /// \brief Flat chained hash index over logical row numbers: a power-of-two
@@ -140,7 +66,7 @@ std::vector<Row> DedupRows(std::vector<Row> rows);
 /// The batch join, anti-join and dedup kernels each build one in three
 /// flat allocations. Link() pushes a row onto the head of its bucket's
 /// chain, so a build that links rows in *reverse* order walks every chain
-/// in build-insertion order — the candidate order the row kernels' per-key
+/// in build-insertion order — the candidate order the row oracle's per-key
 /// vectors keep. A chain may mix hashes: walkers compare HashOf() first.
 class ChainedHashIndex {
  public:
@@ -176,17 +102,20 @@ class ChainedHashIndex {
   unsigned shift_ = 63;
 };
 
-/// \brief Batch counterpart of JoinChain: a left-deep chain of hash/NL
-/// joins over ColumnBatches, probed by index tuple.
+/// \brief A left-deep chain of hash/nested-loop joins over ColumnBatches
+/// whose build sides are hashed once and probed read-only, by index tuple.
 ///
-/// Probe(out) appends one flat tuple of `tuple_arity()` logical indexes —
-/// (probe row, level-0 build row, ...) — per result, in exactly the order
-/// JoinChain::Probe emits materialized rows for the same inputs: probe
-/// order outer, build-insertion order inner (hash chains run in insertion
-/// order; other-hash and equal-hash-different-key candidates are filtered
-/// out, which preserves order), residual and final filters applied at
-/// the same points with identical Kleene semantics. Materialize() gathers
-/// tuples into an output batch whose rows equal the row engine's output.
+/// Level i joins the accumulated prefix (probe input + build sides of the
+/// levels before it) against its build batch under `condition` (bound over
+/// the concatenated schema; null = cartesian product). Probe(out) appends
+/// one flat tuple of `tuple_arity()` logical indexes — (probe row, level-0
+/// build row, ...) — per result, probe order outer, build-insertion order
+/// inner (hash chains run in insertion order; other-hash and
+/// equal-hash-different-key candidates are filtered out, which preserves
+/// order), residual and final filters applied with Kleene semantics. That
+/// is the order the row oracle's JoinChain emits materialized rows in, so
+/// slice outputs concatenated in slice order equal a serial evaluation and
+/// Materialize() gathers tuples into the rows the oracle produces.
 class BatchJoinChain {
  public:
   struct LevelSpec {
@@ -241,8 +170,10 @@ class BatchJoinChain {
   std::vector<size_t> offsets_;
 };
 
-/// \brief Batch counterpart of AntiJoinProbe: left logical indexes with NO
-/// right partner satisfying `condition`, emitted in left order.
+/// \brief Anti-join with a shared build side: left logical indexes with NO
+/// right partner satisfying `condition`, emitted in left order. Probe() is
+/// const and thread-safe, so disjoint slices of the left input can run
+/// concurrently.
 class BatchAntiJoinProbe {
  public:
   /// Inputs are not owned and must outlive the probe.

@@ -17,7 +17,8 @@
 // Determinism contract: HashAt / EqualsAt / CompareAt replicate
 // Value::Hash / operator== / Compare exactly (numerics compare and hash by
 // double value, NULL == NULL under identity semantics). The batch operators
-// in src/exec rely on this to stay bit-identical to the row engine.
+// in src/exec rely on this to stay bit-identical to row-at-a-time
+// evaluation.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +61,7 @@ class ColumnVector {
   /// @}
 
   /// Reproduces the exact Value stored at `i` (same TypeId and payload as
-  /// the row engine would carry).
+  /// the table's row store holds).
   Value ValueAt(size_t i) const;
 
   void Reserve(size_t n);

@@ -1,21 +1,33 @@
-// Columnar-vs-row differential battery: the vectorized batch engine
-// (ExecEngine::kBatch) must be BIT-identical to the row-at-a-time oracle
-// (ExecEngine::kRow) — same rows in the same order for every route the
-// router can take (conflict-free plain evaluation, first-order rewriting,
-// envelope + prover), same conflict hyperedges with the same edge ids and
-// provenance from detection, and all of it must survive view-invalidating
-// writes (inserts rebuild Table's memoized columnar view, deletes tombstone
-// under it). Instances are seeded random and NULL-heavy, since SQL
-// three-valued logic and NULL join keys are where vectorized rewrites
-// classically diverge.
+// Columnar-vs-row differential battery: the columnar engine (Execute) must
+// be BIT-identical to the row-at-a-time oracle (oracle::ExecuteRows in
+// tests/oracle) — same rows in the same order, serial and partitioned —
+// on the plan every router route evaluates (the optimized query on the
+// conflict-free route, the optimized rewriting on the first-order routes,
+// the envelope on the prover route) as well as on the plain and optimized
+// query plans. The prover and the canonical answer sort run on those rows
+// and do not depend on the engine, so equal rows mean equal consistent
+// answers. Detection on the columnar kernels must produce the same
+// conflict hyperedges with the same edge ids and provenance as the
+// row-kernel oracle. All of it must survive view-invalidating writes
+// (inserts rebuild Table's memoized columnar view, deletes tombstone under
+// it). Instances are seeded random and NULL-heavy, since SQL three-valued
+// logic and NULL join keys are where vectorized rewrites classically
+// diverge.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "cqa/envelope.h"
 #include "db/database.h"
 #include "detect/detector.h"
+#include "plan/optimizer.h"
+#include "plan/router.h"
+#include "plan/sjud.h"
+#include "tests/oracle/detect.h"
+#include "tests/oracle/row_engine.h"
 #include "tests/test_util.h"
 
 namespace hippo {
@@ -88,27 +100,56 @@ std::vector<std::string> QueryPool() {
   };
 }
 
-/// Runs `sql` under every forced route with both engines; each
-/// (route, query) pair must agree on the exact row sequence. Routes that
-/// cannot serve a query must refuse identically under both engines.
-void CrossCheckEngines(Database* db, const std::string& sql) {
-  for (RouteMode route : {RouteMode::kAuto, RouteMode::kForceRewrite,
-                          RouteMode::kForceProver}) {
-    cqa::HippoOptions batch_opts;
-    batch_opts.route = route;
-    batch_opts.exec_engine = ExecEngine::kBatch;
-    cqa::HippoOptions row_opts = batch_opts;
-    row_opts.exec_engine = ExecEngine::kRow;
+/// Evaluates `plan` with both engines, serially and in row-range
+/// partitions; each pair must agree on the exact row sequence.
+void ExpectSameRows(const Database& db, const PlanNode& plan,
+                    const std::string& what) {
+  for (size_t threads : {1u, 4u}) {
+    ExecContext ctx{&db.catalog(), nullptr};
+    ctx.parallel.num_threads = threads;
+    ctx.parallel.min_partition_rows = 4;
+    auto columnar = Execute(plan, ctx);
+    auto rows = oracle::ExecuteRows(plan, ctx);
+    ASSERT_OK(columnar.status()) << what;
+    ASSERT_OK(rows.status()) << what;
+    EXPECT_EQ(columnar.value().rows, rows.value())
+        << what << " x" << threads
+        << ": the columnar engine diverged from the row oracle";
+  }
+}
 
-    auto batch = db->ConsistentAnswers(sql, batch_opts);
-    auto row = db->ConsistentAnswers(sql, row_opts);
-    ASSERT_EQ(batch.ok(), row.ok())
-        << sql << " (route mode " << static_cast<int>(route)
-        << "): engines disagree on servability";
-    if (!batch.ok()) continue;
-    EXPECT_EQ(batch.value().rows, row.value().rows)
-        << sql << " (route mode " << static_cast<int>(route)
-        << "): batch engine diverged from the row oracle";
+/// Checks the plain and optimized plans of `sql`, then, for every forced
+/// route that accepts the query, the plan that route evaluates
+/// (HippoEngine::ServeFirstOrder / ServeProver). Records the routes that
+/// were checked in `routes`.
+void CrossCheckPlans(Database* db, const std::string& sql,
+                     std::set<RouteKind>* routes) {
+  auto planned = db->Plan(sql);
+  ASSERT_OK(planned.status()) << sql;
+  const PlanNode& plan = *planned.value();
+  ExpectSameRows(*db, plan, sql + " [plain]");
+  ExpectSameRows(*db, *OptimizePlan(plan), sql + " [optimized]");
+
+  auto graph = db->Hypergraph();
+  ASSERT_OK(graph.status());
+  for (RouteMode mode : {RouteMode::kForceConflictFree,
+                         RouteMode::kForceRewrite, RouteMode::kForceProver}) {
+    auto route = ClassifyRoute(plan, db->catalog(), &db->constraints(),
+                               &db->foreign_keys(), graph.value(), mode);
+    if (!route.ok()) continue;  // the route cannot serve this query
+    RouteKind kind = route.value().kind;
+    std::string what = sql + " [" + RouteKindName(kind) + "]";
+    if (kind == RouteKind::kProver) {
+      if (!CheckSjudSupported(plan).ok()) continue;
+      ExpectSameRows(*db, *cqa::BuildEnvelope(plan), what);
+    } else {
+      const PlanNode* body = kind == RouteKind::kConflictFree
+                                 ? &plan
+                                 : route.value().rewritten.get();
+      if (body->kind() == PlanKind::kSort) body = &body->child(0);
+      ExpectSameRows(*db, *OptimizePlan(*body), what);
+    }
+    routes->insert(kind);
   }
 }
 
@@ -125,35 +166,34 @@ EdgeDump DumpEdges(const ConflictHypergraph& g) {
   return dump;
 }
 
-/// Both engines must produce the same edges with the same IDS — serially
-/// (historical insertion order) and in parallel (BulkLoad order).
-void CrossCheckDetection(Database* db, size_t num_threads) {
-  DetectOptions batch_opts;
-  batch_opts.num_threads = num_threads;
-  batch_opts.engine = ExecEngine::kBatch;
-  DetectOptions row_opts = batch_opts;
-  row_opts.engine = ExecEngine::kRow;
-
-  ConflictDetector batch_det(db->catalog(), batch_opts);
-  ConflictDetector row_det(db->catalog(), row_opts);
-  auto batch_g = batch_det.DetectAll(db->constraints(), db->foreign_keys());
-  auto row_g = row_det.DetectAll(db->constraints(), db->foreign_keys());
-  ASSERT_OK(batch_g.status());
-  ASSERT_OK(row_g.status());
-  EXPECT_EQ(DumpEdges(batch_g.value()), DumpEdges(row_g.value()))
-      << "batch detection diverged from the row oracle at "
-      << num_threads << " threads";
-
-  // The generic path must agree with the FD fast path under both engines.
-  DetectOptions no_fast = batch_opts;
-  no_fast.use_fd_fast_path = false;
-  ConflictDetector generic_det(db->catalog(), no_fast);
-  auto generic_g =
-      generic_det.DetectAll(db->constraints(), db->foreign_keys());
+/// The serial generic path must produce the row-kernel oracle's edges with
+/// the same IDS; the FD fast path, serial and parallel (BulkLoad order),
+/// must produce the naive detector's edges and provenance.
+void CrossCheckDetection(Database* db) {
+  DetectOptions generic;
+  generic.use_fd_fast_path = false;
+  ConflictDetector generic_det(db->catalog(), generic);
+  auto generic_g = generic_det.DetectAll(db->constraints(), db->foreign_keys());
+  auto oracle_g = oracle::DetectAllRows(db->catalog(), db->constraints(),
+                                        db->foreign_keys());
   ASSERT_OK(generic_g.status());
-  EXPECT_EQ(generic_g.value().CanonicalEdges(),
-            batch_g.value().CanonicalEdges())
-      << "batch generic path diverged from the FD fast path";
+  ASSERT_OK(oracle_g.status());
+  EXPECT_EQ(DumpEdges(generic_g.value()), DumpEdges(oracle_g.value()))
+      << "columnar generic detection diverged from the row oracle";
+
+  auto naive = oracle::NaiveDetect(db->catalog(), db->constraints(),
+                                   db->foreign_keys())
+                   .CanonicalEdges();
+  for (size_t threads : {1u, 4u}) {
+    DetectOptions fast;
+    fast.num_threads = threads;
+    ConflictDetector fast_det(db->catalog(), fast);
+    auto fast_g = fast_det.DetectAll(db->constraints(), db->foreign_keys());
+    ASSERT_OK(fast_g.status());
+    EXPECT_EQ(fast_g.value().CanonicalEdges(), naive)
+        << "fast-path detection diverged from the naive detector at "
+        << threads << " threads";
+  }
 }
 
 class ColumnarDifferential : public ::testing::TestWithParam<uint64_t> {};
@@ -163,12 +203,17 @@ TEST_P(ColumnarDifferential, EnginesAgreeOnNullHeavyInstances) {
   BuildRandomInstance(&db, GetParam(), /*null_rate=*/0.35);
   if (::testing::Test::HasFatalFailure()) return;
 
+  std::set<RouteKind> routes;
   for (const std::string& sql : QueryPool()) {
-    CrossCheckEngines(&db, sql);
+    CrossCheckPlans(&db, sql, &routes);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  CrossCheckDetection(&db, /*num_threads=*/1);
-  CrossCheckDetection(&db, /*num_threads=*/4);
+  // Every route's plan shape was compared, not just the plain plans.
+  EXPECT_TRUE(routes.count(RouteKind::kConflictFree));
+  EXPECT_TRUE(routes.count(RouteKind::kRewriteAbc) ||
+              routes.count(RouteKind::kRewriteKw));
+  EXPECT_TRUE(routes.count(RouteKind::kProver));
+  CrossCheckDetection(&db);
 }
 
 TEST_P(ColumnarDifferential, EnginesAgreeAfterViewInvalidatingWrites) {
@@ -178,8 +223,9 @@ TEST_P(ColumnarDifferential, EnginesAgreeAfterViewInvalidatingWrites) {
 
   // Materialize the columnar views (and the incremental hypergraph) so the
   // writes below exercise invalidation and maintenance, not first builds.
-  CrossCheckEngines(&db, "SELECT * FROM r");
-  CrossCheckDetection(&db, /*num_threads=*/1);
+  std::set<RouteKind> routes;
+  CrossCheckPlans(&db, "SELECT * FROM r", &routes);
+  CrossCheckDetection(&db);
   if (::testing::Test::HasFatalFailure()) return;
 
   std::mt19937_64 rng(GetParam() ^ 0x5eedULL);
@@ -194,11 +240,10 @@ TEST_P(ColumnarDifferential, EnginesAgreeAfterViewInvalidatingWrites) {
       "UPDATE t SET g = 7 WHERE f = 2"));
 
   for (const std::string& sql : QueryPool()) {
-    CrossCheckEngines(&db, sql);
+    CrossCheckPlans(&db, sql, &routes);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  CrossCheckDetection(&db, /*num_threads=*/1);
-  CrossCheckDetection(&db, /*num_threads=*/4);
+  CrossCheckDetection(&db);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarDifferential,

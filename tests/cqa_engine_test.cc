@@ -128,10 +128,24 @@ TEST_F(EngineTest, IsConsistentAnswerSingleTuple) {
       *plan.value(), Row{Value::Int(2), Value::Int(20)}, HippoOptions());
   ASSERT_OK(yes.status());
   EXPECT_TRUE(yes.value());
+  HippoStats single;
   auto no = engine.IsConsistentAnswer(
-      *plan.value(), Row{Value::Int(1), Value::Int(10)}, HippoOptions());
+      *plan.value(), Row{Value::Int(1), Value::Int(10)}, HippoOptions(),
+      &single);
   ASSERT_OK(no.status());
   EXPECT_FALSE(no.value());
+  // The same decision through the prover route reports the same prover
+  // work: (1, 10) is that query's only candidate.
+  HippoOptions prover;
+  prover.route = RouteMode::kForceProver;
+  HippoStats routed;
+  EXPECT_EQ(Answers("SELECT * FROM r WHERE a = 1 AND b = 10", prover, &routed)
+                .NumRows(),
+            0u);
+  EXPECT_EQ(routed.candidates, 1u);
+  EXPECT_GT(single.edge_choices_tried, 0u);
+  EXPECT_EQ(single.edge_choices_tried, routed.edge_choices_tried);
+  EXPECT_EQ(single.clauses_checked, routed.clauses_checked);
   auto absent = engine.IsConsistentAnswer(
       *plan.value(), Row{Value::Int(9), Value::Int(9)}, HippoOptions());
   ASSERT_OK(absent.status());

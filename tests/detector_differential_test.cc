@@ -2,9 +2,9 @@
 //
 // Three oracles are compared on seeded random schemas/instances:
 //
-//   1. a naive O(n^arity) reference detector (nested loops over live rows,
-//      evaluating each denial constraint's condition on the combined row —
-//      no join plans, no fast paths, no sharding);
+//   1. a naive O(n^arity) reference detector (oracle::NaiveDetect: nested
+//      loops over live rows, evaluating each denial constraint's condition
+//      on the combined row — no join plans, no fast paths, no sharding);
 //   2. serial ConflictDetector::DetectAll (num_threads = 1);
 //   3. parallel DetectAll across thread counts {2, 4, 8} and shard_rows
 //      settings down to 1 (which forces the FD fast path into one shard
@@ -26,90 +26,13 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "db/database.h"
-#include "expr/evaluator.h"
+#include "tests/oracle/detect.h"
 #include "tests/test_util.h"
 
 namespace hippo {
 namespace {
 
 using CanonicalEdgeList = std::vector<std::pair<std::vector<RowId>, uint32_t>>;
-
-/// Naive reference: enumerate every assignment of live rows to the atoms
-/// of every denial constraint (with repetition — a tuple may satisfy a
-/// multi-atom constraint with itself; AddEdge collapses {t, t} to a unary
-/// edge exactly like the executor's self-join does) and every child row of
-/// every foreign key. Quadratic/cubic in the instance — only for tiny
-/// inputs.
-ConflictHypergraph NaiveDetect(
-    const Catalog& catalog, const std::vector<DenialConstraint>& constraints,
-    const std::vector<ForeignKeyConstraint>& foreign_keys) {
-  ConflictHypergraph graph;
-  for (size_t ci = 0; ci < constraints.size(); ++ci) {
-    const DenialConstraint& dc = constraints[ci];
-    // Odometer over one live-row index per atom.
-    std::vector<std::vector<uint32_t>> live(dc.arity());
-    for (size_t a = 0; a < dc.arity(); ++a) {
-      const Table& t = catalog.table(dc.atoms()[a].table_id);
-      for (uint32_t i = 0; i < t.NumRows(); ++i) {
-        if (t.IsLive(i)) live[a].push_back(i);
-      }
-    }
-    std::vector<size_t> pick(dc.arity(), 0);
-    bool exhausted = false;
-    for (size_t a = 0; a < dc.arity(); ++a) {
-      if (live[a].empty()) exhausted = true;
-    }
-    while (!exhausted) {
-      Row combined;
-      std::vector<RowId> edge;
-      for (size_t a = 0; a < dc.arity(); ++a) {
-        const Table& t = catalog.table(dc.atoms()[a].table_id);
-        const Row& r = t.row(live[a][pick[a]]);
-        combined.insert(combined.end(), r.begin(), r.end());
-        edge.push_back(RowId{dc.atoms()[a].table_id, live[a][pick[a]]});
-      }
-      if (dc.condition() == nullptr ||
-          EvalPredicate(*dc.condition(), combined)) {
-        graph.AddEdge(std::move(edge), static_cast<uint32_t>(ci));
-      }
-      size_t a = 0;
-      for (; a < dc.arity(); ++a) {
-        if (++pick[a] < live[a].size()) break;
-        pick[a] = 0;
-      }
-      if (a == dc.arity()) exhausted = true;
-    }
-  }
-  for (size_t fi = 0; fi < foreign_keys.size(); ++fi) {
-    const ForeignKeyConstraint& fk = foreign_keys[fi];
-    const Table& child = catalog.table(fk.child_table());
-    const Table& parent = catalog.table(fk.parent_table());
-    for (uint32_t c = 0; c < child.NumRows(); ++c) {
-      if (!child.IsLive(c)) continue;
-      // SQL equality: a NULL on either side never matches, so NULL-keyed
-      // children are orphans regardless of the parent relation.
-      bool has_parent = false;
-      for (uint32_t p = 0; p < parent.NumRows() && !has_parent; ++p) {
-        if (!parent.IsLive(p)) continue;
-        bool match = true;
-        for (size_t i = 0; i < fk.child_columns().size(); ++i) {
-          const Value& cv = child.row(c)[fk.child_columns()[i]];
-          const Value& pv = parent.row(p)[fk.parent_columns()[i]];
-          if (cv.is_null() || pv.is_null() || !(cv == pv)) {
-            match = false;
-            break;
-          }
-        }
-        has_parent = match;
-      }
-      if (!has_parent) {
-        graph.AddEdge({RowId{fk.child_table(), c}},
-                      static_cast<uint32_t>(constraints.size() + fi));
-      }
-    }
-  }
-  return graph;
-}
 
 CanonicalEdgeList DetectWith(Database* db, const DetectOptions& options) {
   ConflictDetector detector(db->catalog(), options);
@@ -195,7 +118,7 @@ TEST_P(DetectorDifferential, ParallelEqualsSerialEqualsNaive) {
   if (::testing::Test::HasFatalFailure()) return;
 
   CanonicalEdgeList naive =
-      NaiveDetect(db.catalog(), db.constraints(), db.foreign_keys())
+      oracle::NaiveDetect(db.catalog(), db.constraints(), db.foreign_keys())
           .CanonicalEdges();
   DetectOptions serial;
   CanonicalEdgeList reference = DetectWith(&db, serial);
@@ -389,7 +312,7 @@ TEST_P(IntraPartitionSweep, PartitionedEqualsSerialAndNaive) {
   if (::testing::Test::HasFatalFailure()) return;
 
   CanonicalEdgeList naive =
-      NaiveDetect(db.catalog(), db.constraints(), db.foreign_keys())
+      oracle::NaiveDetect(db.catalog(), db.constraints(), db.foreign_keys())
           .CanonicalEdges();
   DetectOptions serial;
   CanonicalEdgeList reference = DetectWith(&db, serial);

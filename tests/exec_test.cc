@@ -8,6 +8,7 @@
 #include "exec/operators.h"
 #include "expr/binder.h"
 #include "sql/parser.h"
+#include "tests/oracle/row_engine.h"
 #include "tests/test_util.h"
 
 namespace hippo {
@@ -223,14 +224,14 @@ TEST(OperatorsTest, AntiJoinKernel) {
       ColumnRefExpr::Bound(1, TypeId::kInt));
   cond->set_result_type(TypeId::kBool);
   std::vector<Row> out;
-  exec::AntiJoinRows(left, right, *cond, 1, &out);
+  oracle::AntiJoinRows(left, right, *cond, 1, &out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0][0], Value::Int(1));
   EXPECT_EQ(out[1][0], Value::Int(3));
 }
 
 // ---------------------------------------------------------------------------
-// Batch kernels against the row kernels (the oracle): exact row sequences.
+// Batch kernels against the row oracle's kernels: exact row sequences.
 
 /// NULL, or 1..3 as an INT or as the equal DOUBLE (1 vs 1.0): builds see
 /// duplicate keys, NULL keys and cross-type-equal keys.
@@ -292,7 +293,8 @@ TEST_P(BatchKernelOracle, JoinChainMatchesRowKernel) {
   ExprPtr c0 = BindOverCopies("t0.key = t1.key AND t0.v <= t1.v", 2);
   ExprPtr c1 = BindOverCopies("t1.key = t2.key", 3);
 
-  exec::JoinChain rows(2, {{&b0, c0.get(), 2}, {&b1, c1.get(), 2}}, nullptr);
+  oracle::JoinChain rows(2, {{&b0, c0.get(), 2}, {&b1, c1.get(), 2}},
+                         nullptr);
   std::vector<Row> expected;
   rows.Probe(probe, 0, probe.size(), &expected);
   exec::BatchJoinChain batch(&probe_batch,
@@ -314,7 +316,7 @@ TEST_P(BatchKernelOracle, AntiJoinMatchesRowKernel) {
        {"t0.key = t1.key", "t0.key = t1.key AND t0.v <> t1.v"}) {
     ExprPtr cond = BindOverCopies(text, 2);
     std::vector<Row> expected;
-    exec::AntiJoinRows(left, right, *cond, 2, &expected);
+    oracle::AntiJoinRows(left, right, *cond, 2, &expected);
     exec::BatchAntiJoinProbe probe(&left_batch, &right_batch, cond.get());
     std::vector<uint32_t> keep;
     probe.Probe(0, left_batch.NumRows(), &keep);

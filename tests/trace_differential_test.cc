@@ -2,7 +2,7 @@
 // not change anything observable — same rows in the same sequence, same
 // HippoStats (route, candidates, answers, prover work), and an untouched
 // conflict hypergraph (edge ids + constraint provenance) — across all
-// three router routes and both execution engines. This is the contract
+// three router routes and two thread counts. This is the contract
 // that makes EXPLAIN ANALYZE trustworthy: what it times is exactly the
 // query the user would have run.
 //
@@ -93,39 +93,34 @@ TEST(TraceDifferential, TracingNeverChangesAnswersOrHypergraph) {
     ASSERT_OK(graph.status());
     auto edges_before = graph.value()->CanonicalEdges();
 
-    for (ExecEngine engine : {ExecEngine::kRow, ExecEngine::kBatch}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        for (const RouteCase& c : Cases()) {
-          std::string ctx =
-              c.sql + (engine == ExecEngine::kRow ? " [row" : " [batch") +
-              " x" + std::to_string(threads) + " seed " +
-              std::to_string(seed) + "]";
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (const RouteCase& c : Cases()) {
+        std::string ctx = c.sql + " [x" + std::to_string(threads) + " seed " +
+                          std::to_string(seed) + "]";
 
-          cqa::HippoOptions options;
-          options.exec_engine = engine;
-          options.num_threads = threads;
-          options.route = c.route;
+        cqa::HippoOptions options;
+        options.num_threads = threads;
+        options.route = c.route;
 
-          cqa::HippoStats stats_off;
-          auto rs_off = db.ConsistentAnswers(c.sql, options, &stats_off);
-          ASSERT_OK(rs_off.status()) << ctx;
-          EXPECT_EQ(stats_off.route, c.expect) << ctx;
+        cqa::HippoStats stats_off;
+        auto rs_off = db.ConsistentAnswers(c.sql, options, &stats_off);
+        ASSERT_OK(rs_off.status()) << ctx;
+        EXPECT_EQ(stats_off.route, c.expect) << ctx;
 
-          obs::TraceSpan root("query");
-          cqa::HippoOptions traced = options;
-          traced.trace = &root;
-          cqa::HippoStats stats_on;
-          auto rs_on = db.ConsistentAnswers(c.sql, traced, &stats_on);
-          root.End();
-          ASSERT_OK(rs_on.status()) << ctx;
+        obs::TraceSpan root("query");
+        cqa::HippoOptions traced = options;
+        traced.trace = &root;
+        cqa::HippoStats stats_on;
+        auto rs_on = db.ConsistentAnswers(c.sql, traced, &stats_on);
+        root.End();
+        ASSERT_OK(rs_on.status()) << ctx;
 
-          // Bit-identical: the exact row sequence, not just the set.
-          EXPECT_EQ(rs_off.value().rows, rs_on.value().rows) << ctx;
-          ExpectSameStats(stats_off, stats_on, ctx);
+        // Bit-identical: the exact row sequence, not just the set.
+        EXPECT_EQ(rs_off.value().rows, rs_on.value().rows) << ctx;
+        ExpectSameStats(stats_off, stats_on, ctx);
 
-          // The trace recorded the route it took.
-          EXPECT_EQ(root.Attr("route"), RouteKindName(c.expect)) << ctx;
-        }
+        // The trace recorded the route it took.
+        EXPECT_EQ(root.Attr("route"), RouteKindName(c.expect)) << ctx;
       }
     }
 
