@@ -2,8 +2,8 @@
 // probe-side row-range partitioning of the generic join path, child
 // partitioning of the FK anti-join, and partitioned envelope evaluation.
 //
-// The F8 workloads parallelize across constraints (and FD shards); these
-// workloads are the cases F8 cannot touch:
+// The F8 workloads are a hot FD and a fan-out across FD-heavy constraints;
+// these workloads are the other shapes:
 //
 //   * one giant generic (non-FD) denial constraint — before partitioning,
 //     DetectAll ran it as a single serial unit no matter how many workers

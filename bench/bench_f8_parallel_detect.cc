@@ -1,8 +1,9 @@
-// F8 — parallel sharded conflict detection (the data-scale front door:
+// F8 — parallel partitioned conflict detection (the data-scale front door:
 // ROADMAP's "next scale step"). Two workloads:
 //
 //   * hot FD table: one large relation under a single FD — parallelism can
-//     only come from determinant-hash sharding *within* the constraint;
+//     only come from probe-side row-range partitions *within* the
+//     constraint, all probing one shared hash build;
 //   * constraint fan-out: many constraints over moderate relations —
 //     parallelism comes from detecting constraints concurrently.
 //
@@ -13,6 +14,9 @@
 // Speedups require physical cores: on a single-core host every row
 // degenerates to ~1x.
 #include "bench/bench_common.h"
+
+#include <algorithm>
+#include <vector>
 
 #include "common/str_util.h"
 
@@ -25,9 +29,11 @@ constexpr double kConflictRate = 0.05;
 
 size_t HotTableRows() { return SmokeMode() ? 2048 : 262144; }
 size_t FanOutRows() { return SmokeMode() ? 512 : 32768; }
-// Scaled down in smoke mode so the CI lane still executes the
-// determinant-hash sharding path on the tiny workloads.
-size_t ShardRows() { return SmokeMode() ? 256 : 16384; }
+// The default partition size at full scale; scaled down in smoke mode so
+// the CI lane still splits the tiny tables into probe partitions.
+size_t PartitionRows() {
+  return SmokeMode() ? 256 : DetectOptions().partition_rows;
+}
 
 Database* HotDb() {
   return DbCache::Get("employee_f8", &BuildEmployeeWorkload, HotTableRows(),
@@ -35,7 +41,7 @@ Database* HotDb() {
 }
 
 // Two FDs plus six selective exclusion-style denial constraints, so the
-// worker pool has eight units to schedule even before FD sharding.
+// worker pool has eight units to schedule even before partitioning.
 Database* FanOutDb() {
   static std::unique_ptr<Database> db;
   if (db == nullptr) {
@@ -55,32 +61,44 @@ Database* FanOutDb() {
   return db.get();
 }
 
-DetectOptions ParallelOptions(size_t threads, size_t shard_rows) {
+DetectOptions ParallelOptions(size_t threads) {
   DetectOptions options;
   options.num_threads = threads;
-  options.shard_rows = shard_rows;
+  options.partition_rows = PartitionRows();
   return options;
 }
 
-/// One timed DetectAll; returns (seconds, edges).
+/// Median of five timed DetectAll runs (one run of a few tens of
+/// milliseconds swings by 1.5x on a shared host); returns (seconds, edges).
 std::pair<double, size_t> TimeDetect(Database* db,
                                      const DetectOptions& options) {
-  ConflictDetector detector(db->catalog(), options);
-  ConflictHypergraph graph;
-  double secs = TimeOnce([&] {
-    auto g = detector.DetectAll(db->constraints(), db->foreign_keys());
-    HIPPO_CHECK(g.ok());
-    graph = std::move(g).value();
-  });
-  return {secs, graph.NumEdges()};
+  std::vector<double> runs;
+  size_t edges = 0;
+  for (int r = 0; r < 5; ++r) {
+    ConflictDetector detector(db->catalog(), options);
+    ConflictHypergraph graph;
+    runs.push_back(TimeOnce([&] {
+      auto g = detector.DetectAll(db->constraints(), db->foreign_keys());
+      HIPPO_CHECK(g.ok());
+      graph = std::move(g).value();
+    }));
+    edges = graph.NumEdges();
+  }
+  std::sort(runs.begin(), runs.end());
+  return {runs[runs.size() / 2], edges};
 }
 
-void PrintSweep(const std::string& caption, Database* db, size_t shard_rows) {
+void PrintSweep(const std::string& caption, Database* db) {
   TextTable table({"threads", "detect time", "speedup vs 1 thread", "edges"});
+  // Untimed warm-up: the first detection images each table into its
+  // memoized columnar view, which every later run reuses. Without it the
+  // 1-thread row alone would pay that one-off cost.
+  ConflictDetector warm_up(db->catalog());
+  HIPPO_CHECK(warm_up.DetectAll(db->constraints(), db->foreign_keys()).ok());
   double base = 0;
   size_t base_edges = 0;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    auto [secs, edges] = TimeDetect(db, ParallelOptions(threads, shard_rows));
+    auto [secs, edges] = TimeDetect(db, ParallelOptions(threads));
     if (threads == 1) {
       base = secs;
       base_edges = edges;
@@ -94,20 +112,20 @@ void PrintSweep(const std::string& caption, Database* db, size_t shard_rows) {
 }
 
 void PrintFigureTables() {
-  PrintSweep(StrFormat("F8a: hot FD table, determinant-hash sharding "
+  PrintSweep(StrFormat("F8a: hot FD table, probe-side partitioning "
                        "(%zu rows, 5%% conflicts)",
                        HotTableRows()),
-             HotDb(), ShardRows());
+             HotDb());
   PrintSweep(StrFormat("F8b: constraint fan-out, 8 constraints "
                        "(%zu rows per relation)",
                        FanOutRows()),
-             FanOutDb(), ShardRows());
+             FanOutDb());
 }
 
 void BM_ParallelDetectHotFd(benchmark::State& state) {
   Database* db = HotDb();
   DetectOptions options =
-      ParallelOptions(static_cast<size_t>(state.range(0)), ShardRows());
+      ParallelOptions(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     ConflictDetector detector(db->catalog(), options);
     auto g = detector.DetectAll(db->constraints());
@@ -121,7 +139,7 @@ BENCHMARK(BM_ParallelDetectHotFd)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void BM_ParallelDetectFanOut(benchmark::State& state) {
   Database* db = FanOutDb();
   DetectOptions options =
-      ParallelOptions(static_cast<size_t>(state.range(0)), ShardRows());
+      ParallelOptions(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     ConflictDetector detector(db->catalog(), options);
     auto g = detector.DetectAll(db->constraints());

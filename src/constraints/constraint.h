@@ -27,8 +27,11 @@ struct ConstraintAtom {
   std::string alias;
 };
 
-/// Extra structure retained when a constraint originated as an FD; enables
-/// the hash-grouping fast path in conflict detection.
+/// Extra structure retained when a constraint originated as an FD. The
+/// query router reads it to derive a table's key, the rewriter to drop the
+/// self-pair filter and emit one residue instead of one per atom, and
+/// conflict detection to stage each violating pair once (an FD's condition
+/// is symmetric in its two atoms).
 struct FdInfo {
   uint32_t table_id = 0;
   std::vector<size_t> lhs;  ///< column indexes of the determinant

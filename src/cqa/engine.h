@@ -52,7 +52,7 @@ struct HippoOptions {
   /// pool and detection but does not reach this field.
   size_t num_threads = 1;
 
-  /// Conflict-detection options (threads, FD sharding, fast path) used when
+  /// Conflict-detection options (threads, partition size) used when
   /// the conflict hypergraph must be (re)built on behalf of this call.
   /// Unset = the Database's configured DetectOptions. When a cached
   /// hypergraph already exists the cache is reused unchanged and an

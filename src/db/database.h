@@ -214,7 +214,8 @@ class Database {
                                    : IncrementalStats();
   }
 
-  /// Detection options (e.g. disabling the FD fast path for ablations).
+  /// Detection options (worker threads, partition size) for the next
+  /// hypergraph build; invalidates the cached graph.
   void SetDetectOptions(DetectOptions options) {
     detect_options_ = options;
     InvalidateHypergraph();

@@ -37,8 +37,8 @@ using VertexSet = std::unordered_set<RowId, RowIdHasher>;
 
 /// \brief Append-only staging area for hyperedges built off the graph.
 ///
-/// Parallel conflict detection gives each work unit (a constraint, or one
-/// determinant-hash shard of a large FD) a private EdgeBuffer, so workers
+/// Conflict detection gives each work unit (a constraint, or one
+/// probe-side partition of a large one) a private EdgeBuffer, so workers
 /// never touch the shared graph; ConflictHypergraph::BulkLoad merges the
 /// buffers afterwards. Vertices are canonicalized (sorted, deduplicated)
 /// at Add time, exactly as ConflictHypergraph::AddEdge would, so merging
@@ -61,7 +61,7 @@ class EdgeBuffer {
 
   const std::vector<StagedEdge>& entries() const { return entries_; }
   /// Mutable access for consumers that move the staged edges out
-  /// (ConflictHypergraph::BulkLoad, ConflictDetector::Flush).
+  /// (ConflictHypergraph::BulkLoad, the serial ConflictDetector::DetectAll).
   std::vector<StagedEdge>& mutable_entries() { return entries_; }
   size_t NumEntries() const { return entries_.size(); }
 
@@ -109,7 +109,7 @@ class ConflictHypergraph {
   /// all buffers are sorted by (canonical vertex set, constraint index) and
   /// inserted in that order. Edge ids and provenance therefore depend only
   /// on the staged edge multiset — never on how detection was decomposed
-  /// into threads or shards. Duplicate vertex sets collapse onto the
+  /// into threads or partitions. Duplicate vertex sets collapse onto the
   /// smallest producing constraint index (the same min-provenance invariant
   /// AddEdge maintains for live merges). Returns the number of staged
   /// entries consumed (pre-dedup, mirroring one AddEdge call per entry).

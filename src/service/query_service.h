@@ -107,14 +107,14 @@ struct ServiceOptions {
   bool async_bulk_redetect = true;
 
   /// Detection options for commit-path re-detection (bulk commits,
-  /// constraint DDL); `threads` replaces num_threads. shard_rows /
-  /// partition_rows split a single hot FD, generic-join
-  /// constraint, or FK across the pool, so even a one-constraint database
-  /// re-detects in parallel and the re-detect window shrinks with the
-  /// core count. Invalid combinations (DetectOptions::Validate) fail the
-  /// first commit that needs a re-detect, with a clear status.
-  DetectOptions detect{/*use_fd_fast_path=*/true, /*num_threads=*/0,
-                       /*shard_rows=*/16384, /*partition_rows=*/8192};
+  /// constraint DDL); the constructor overwrites num_threads with
+  /// `threads`. partition_rows splits a single hot constraint (FD or
+  /// other denial constraint) or FK across the pool, so even a
+  /// one-constraint database re-detects in parallel and the re-detect
+  /// window shrinks with the core count. Invalid combinations
+  /// (DetectOptions::Validate) fail the first commit that needs a
+  /// re-detect, with a clear status.
+  DetectOptions detect;
 
   /// Per-service observability: a private obs::MetricsRegistry with
   /// commit-phase timers (ring wait, apply, incremental-vs-redetect,

@@ -166,34 +166,33 @@ EdgeDump DumpEdges(const ConflictHypergraph& g) {
   return dump;
 }
 
-/// The serial generic path must produce the row-kernel oracle's edges with
-/// the same IDS; the FD fast path, serial and parallel (BulkLoad order),
-/// must produce the naive detector's edges and provenance.
+/// Serial detection of every constraint, FDs included, must produce the
+/// row-kernel oracle's edges with the same IDS; serial and parallel
+/// (BulkLoad order) detection must produce the naive detector's edges and
+/// provenance.
 void CrossCheckDetection(Database* db) {
-  DetectOptions generic;
-  generic.use_fd_fast_path = false;
-  ConflictDetector generic_det(db->catalog(), generic);
-  auto generic_g = generic_det.DetectAll(db->constraints(), db->foreign_keys());
+  ConflictDetector serial_det(db->catalog());
+  auto serial_g = serial_det.DetectAll(db->constraints(), db->foreign_keys());
   auto oracle_g = oracle::DetectAllRows(db->catalog(), db->constraints(),
                                         db->foreign_keys());
-  ASSERT_OK(generic_g.status());
+  ASSERT_OK(serial_g.status());
   ASSERT_OK(oracle_g.status());
-  EXPECT_EQ(DumpEdges(generic_g.value()), DumpEdges(oracle_g.value()))
-      << "columnar generic detection diverged from the row oracle";
+  EXPECT_EQ(DumpEdges(serial_g.value()), DumpEdges(oracle_g.value()))
+      << "columnar serial detection diverged from the row oracle";
 
   auto naive = oracle::NaiveDetect(db->catalog(), db->constraints(),
                                    db->foreign_keys())
                    .CanonicalEdges();
-  for (size_t threads : {1u, 4u}) {
-    DetectOptions fast;
-    fast.num_threads = threads;
-    ConflictDetector fast_det(db->catalog(), fast);
-    auto fast_g = fast_det.DetectAll(db->constraints(), db->foreign_keys());
-    ASSERT_OK(fast_g.status());
-    EXPECT_EQ(fast_g.value().CanonicalEdges(), naive)
-        << "fast-path detection diverged from the naive detector at "
-        << threads << " threads";
-  }
+  EXPECT_EQ(serial_g.value().CanonicalEdges(), naive)
+      << "serial detection diverged from the naive detector";
+  DetectOptions parallel;
+  parallel.num_threads = 4;
+  ConflictDetector parallel_det(db->catalog(), parallel);
+  auto parallel_g =
+      parallel_det.DetectAll(db->constraints(), db->foreign_keys());
+  ASSERT_OK(parallel_g.status());
+  EXPECT_EQ(parallel_g.value().CanonicalEdges(), naive)
+      << "parallel detection diverged from the naive detector";
 }
 
 class ColumnarDifferential : public ::testing::TestWithParam<uint64_t> {};

@@ -54,19 +54,21 @@ TEST_F(InconsistentEmpDb, ConsistentAnswersDropOnlyConflictedFacts) {
 
 TEST_F(InconsistentEmpDb, ParallelDetectionOptionReachesTheDetector) {
   // HippoOptions::detect is used when the hypergraph cache is cold: the
-  // graph is built with 4 detection threads (1-row shards force real
-  // sharding even on this tiny table) and the answers must not change.
+  // graph is built with 4 detection threads (1-row partitions force a real
+  // probe-side split even on this tiny table) and the answers must not
+  // change.
   cqa::HippoOptions options;
   options.detect = DetectOptions();
   options.detect->num_threads = 4;
-  options.detect->shard_rows = 1;
+  options.detect->partition_rows = 1;
   auto rs = db_.ConsistentAnswers("SELECT * FROM emp", options);
   ASSERT_OK(rs.status());
   EXPECT_EQ(rs.value().NumRows(), 2u);
   auto graph = db_.Hypergraph();
   ASSERT_OK(graph.status());
   EXPECT_EQ(graph.value()->NumEdges(), 1u);
-  EXPECT_EQ(db_.detect_stats().fd_shards, 4u);  // proves the knob arrived
+  // proves the knob arrived
+  EXPECT_EQ(db_.detect_stats().generic_partitions, 4u);
 }
 
 TEST_F(InconsistentEmpDb, IgnoredDetectOptionsAreReported) {
@@ -79,12 +81,13 @@ TEST_F(InconsistentEmpDb, IgnoredDetectOptionsAreReported) {
   cqa::HippoOptions options;
   options.detect = DetectOptions();
   options.detect->num_threads = 4;
-  options.detect->shard_rows = 1;
+  options.detect->partition_rows = 1;
   cqa::HippoStats stats;
   auto rs = db_.ConsistentAnswers("SELECT * FROM emp", options, &stats);
   ASSERT_OK(rs.status());
   EXPECT_EQ(stats.detect_options_ignored, 1u);
-  EXPECT_NE(db_.detect_stats().fd_shards, 4u);  // knob did NOT arrive
+  // knob did NOT arrive
+  EXPECT_NE(db_.detect_stats().generic_partitions, 4u);
 
   // Without an explicit detect request nothing is reported, cache or not.
   cqa::HippoStats plain_stats;
@@ -99,7 +102,8 @@ TEST_F(InconsistentEmpDb, IgnoredDetectOptionsAreReported) {
   ASSERT_OK(db_.ConsistentAnswers("SELECT * FROM emp", options, &cold_stats)
                 .status());
   EXPECT_EQ(cold_stats.detect_options_ignored, 0u);
-  EXPECT_EQ(db_.detect_stats().fd_shards, 4u);  // knob arrived this time
+  // knob arrived this time
+  EXPECT_EQ(db_.detect_stats().generic_partitions, 4u);
 }
 
 TEST_F(InconsistentEmpDb, SelectionOnUncertainValue) {

@@ -1,27 +1,17 @@
-// Conflict-detection tests: generic join path, FD fast path, and their
-// equivalence on random instances.
+// Conflict-detection tests: FD, exclusion, unary and multi-atom denial
+// constraints, and DetectOptions validation. FD detection against the
+// naive detector lives in detector_differential_test.cc (FdPathFuzz).
 #include "detect/detector.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
-#include "common/rng.h"
 #include "db/database.h"
 #include "tests/test_util.h"
 
 namespace hippo {
 namespace {
-
-/// Canonical form of a hypergraph's edges for comparison.
-std::set<std::vector<RowId>> EdgeSet(const ConflictHypergraph& g) {
-  std::set<std::vector<RowId>> out;
-  for (size_t e = 0; e < g.NumEdges(); ++e) {
-    out.insert(g.edge(static_cast<ConflictHypergraph::EdgeId>(e)));
-  }
-  return out;
-}
 
 TEST(DetectTest, FdViolationPairs) {
   Database db;
@@ -159,35 +149,17 @@ TEST(DetectTest, MultipleConstraintsAccumulate) {
   EXPECT_EQ(constraints.size(), 2u);
 }
 
-TEST(DetectTest, DetectStatsTrackPaths) {
-  Database db;
-  ASSERT_OK(db.Execute(
-      "CREATE TABLE t (a INTEGER, b INTEGER);"
-      "INSERT INTO t VALUES (1, 10), (1, 11);"
-      "CREATE CONSTRAINT fd FD ON t (a -> b);"
-      "CREATE CONSTRAINT d DENIAL (t AS x WHERE x.b < 0)"));
-  ASSERT_OK(db.Hypergraph().status());
-  EXPECT_EQ(db.detect_stats().fd_fast_path_constraints, 1u);
-  EXPECT_EQ(db.detect_stats().generic_constraints, 1u);
-}
-
 // DetectOptions::Validate rejects nonsensical combinations with a clear
-// InvalidArgument instead of the former silent fallbacks (shard_rows == 0
-// used to silently disable FD sharding), and DetectAll enforces it on
-// every run — serial and parallel alike.
+// InvalidArgument instead of a silent fallback (partition_rows == 0 is not
+// a hidden "disable"), and DetectAll enforces it on every run — serial and
+// parallel alike.
 TEST(DetectOptionsValidationTest, RejectsNonsense) {
   DetectOptions ok;
   EXPECT_OK(ok.Validate());
 
-  DetectOptions zero_shard;
-  zero_shard.shard_rows = 0;
-  Status st = zero_shard.Validate();
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("shard_rows"), std::string::npos);
-
   DetectOptions zero_partition;
   zero_partition.partition_rows = 0;
-  st = zero_partition.Validate();
+  Status st = zero_partition.Validate();
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("partition_rows"), std::string::npos);
 
@@ -195,11 +167,10 @@ TEST(DetectOptionsValidationTest, RejectsNonsense) {
   absurd_threads.num_threads = DetectOptions::kMaxThreads + 1;
   EXPECT_EQ(absurd_threads.Validate().code(),
             StatusCode::kInvalidArgument);
-  // 0 is a valid sentinel ("all hardware threads"), SIZE_MAX row
-  // thresholds are the sanctioned way to disable the splits.
+  // 0 is a valid sentinel ("all hardware threads"), a SIZE_MAX row
+  // threshold is the sanctioned way to disable the split.
   DetectOptions disabled;
   disabled.num_threads = 0;
-  disabled.shard_rows = SIZE_MAX;
   disabled.partition_rows = SIZE_MAX;
   EXPECT_OK(disabled.Validate());
 }
@@ -211,7 +182,7 @@ TEST(DetectOptionsValidationTest, DetectAllSurfacesTheStatus) {
       "INSERT INTO t VALUES (1, 10), (1, 11);"
       "CREATE CONSTRAINT fd FD ON t (a -> b)"));
   DetectOptions bad;
-  bad.shard_rows = 0;
+  bad.partition_rows = 0;
   ConflictDetector serial(db.catalog(), bad);
   EXPECT_EQ(serial.DetectAll(db.constraints()).status().code(),
             StatusCode::kInvalidArgument);
@@ -224,36 +195,6 @@ TEST(DetectOptionsValidationTest, DetectAllSurfacesTheStatus) {
   EXPECT_EQ(db.Hypergraph().status().code(),
             StatusCode::kInvalidArgument);
 }
-
-// Property: the FD fast path and the generic join path produce identical
-// hypergraphs on random instances.
-class FdPathEquivalence : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(FdPathEquivalence, SameEdges) {
-  Rng rng(GetParam());
-  Database db;
-  ASSERT_OK(db.Execute(
-      "CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER);"
-      "CREATE CONSTRAINT fd FD ON t (a -> b, c)"));
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_OK(db.InsertRow(
-        "t", Row{Value::Int(rng.UniformInt(0, 9)),
-                 Value::Int(rng.UniformInt(0, 3)),
-                 Value::Int(rng.UniformInt(0, 2))}));
-  }
-  ConflictDetector fast(db.catalog(), DetectOptions{true});
-  ConflictDetector generic(db.catalog(), DetectOptions{false});
-  auto gf = fast.DetectAll(db.constraints());
-  auto gg = generic.DetectAll(db.constraints());
-  ASSERT_OK(gf.status());
-  ASSERT_OK(gg.status());
-  EXPECT_EQ(EdgeSet(gf.value()), EdgeSet(gg.value()));
-  EXPECT_GT(gf.value().NumEdges(), 0u);  // seeds chosen to collide
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FdPathEquivalence,
-                         ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28,
-                                           29, 30));
 
 }  // namespace
 }  // namespace hippo

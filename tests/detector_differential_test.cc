@@ -1,20 +1,21 @@
-// Randomized differential battery for parallel sharded conflict detection.
+// Randomized differential battery for parallel partitioned conflict
+// detection.
 //
 // Three oracles are compared on seeded random schemas/instances:
 //
 //   1. a naive O(n^arity) reference detector (oracle::NaiveDetect: nested
 //      loops over live rows, evaluating each denial constraint's condition
-//      on the combined row — no join plans, no fast paths, no sharding);
+//      on the combined row — no join plans, no partitions);
 //   2. serial ConflictDetector::DetectAll (num_threads = 1);
-//   3. parallel DetectAll across thread counts {2, 4, 8} and shard_rows
-//      settings down to 1 (which forces the FD fast path into one shard
-//      per worker even on tiny tables).
+//   3. parallel DetectAll across thread counts {2, 4, 8} and partition_rows
+//      settings down to 1 (which splits every constraint into one
+//      probe-side partition per worker even on tiny tables).
 //
 // All three must produce set-equal hypergraphs including constraint
 // provenance (CanonicalEdges compares canonical vertex sets AND the
-// producing constraint index). A second battery fuzzes the FD fast path
-// against the generic join path over NULL-heavy instances, pinning the
-// NULL-determinant and NULL-rhs corners documented in detector.cc.
+// producing constraint index). A second battery fuzzes FD detection
+// against the naive detector over NULL-heavy and dense instances, pinning
+// the NULL-determinant and NULL-rhs corners.
 #include "detect/detector.h"
 
 #include <gtest/gtest.h>
@@ -126,13 +127,13 @@ TEST_P(DetectorDifferential, ParallelEqualsSerialEqualsNaive) {
                                  "reference detector";
 
   for (size_t threads : {2u, 4u, 8u}) {
-    for (size_t shard_rows : {1u, 7u, 4096u}) {
+    for (size_t partition_rows : {1u, 7u, 4096u}) {
       DetectOptions parallel;
       parallel.num_threads = threads;
-      parallel.shard_rows = shard_rows;
+      parallel.partition_rows = partition_rows;
       EXPECT_EQ(DetectWith(&db, parallel), reference)
           << "parallel detection diverged at " << threads << " threads, "
-          << "shard_rows=" << shard_rows;
+          << "partition_rows=" << partition_rows;
     }
   }
 }
@@ -150,10 +151,10 @@ TEST(DetectorDeterminismTest, ParallelEdgeIdsIndependentOfThreadCount) {
   BuildRandomScenario(&db, &rng);
   if (::testing::Test::HasFatalFailure()) return;
 
-  auto detect_full = [&](size_t threads, size_t shard_rows) {
+  auto detect_full = [&](size_t threads, size_t partition_rows) {
     DetectOptions opts;
     opts.num_threads = threads;
-    opts.shard_rows = shard_rows;
+    opts.partition_rows = partition_rows;
     ConflictDetector detector(db.catalog(), opts);
     auto g = detector.DetectAll(db.constraints(), db.foreign_keys());
     EXPECT_OK(g.status());
@@ -172,61 +173,82 @@ TEST(DetectorDeterminismTest, ParallelEdgeIdsIndependentOfThreadCount) {
 }
 
 // ---------------------------------------------------------------------------
-// FD fast path vs generic join path fuzz, NULL corners included.
+// FD detection vs the naive detector, NULL corners included.
 // ---------------------------------------------------------------------------
 
-class FdPathFuzz : public ::testing::TestWithParam<uint64_t> {};
+/// Serial and 4-thread (one probe partition per row) detection must both
+/// equal the naive detector's edges and provenance; returns the latter.
+CanonicalEdgeList CheckFdDetectionAgainstNaive(Database* db) {
+  CanonicalEdgeList want =
+      oracle::NaiveDetect(db->catalog(), db->constraints(), db->foreign_keys())
+          .CanonicalEdges();
+  EXPECT_EQ(DetectWith(db, DetectOptions()), want)
+      << "serial FD detection diverged from the naive detector";
+  DetectOptions split;
+  split.num_threads = 4;
+  split.partition_rows = 1;
+  EXPECT_EQ(DetectWith(db, split), want)
+      << "partitioned FD detection diverged from the naive detector";
+  return want;
+}
 
-TEST_P(FdPathFuzz, FastPathEqualsGenericPathUnderNulls) {
-  Rng rng(GetParam());
+/// (seed, null-heavy instance?)
+class FdPathFuzz
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(FdPathFuzz, DetectionEqualsNaive) {
+  auto [seed, null_heavy] = GetParam();
+  Rng rng(seed);
   Database db;
-  // Multi-column determinant AND multi-column dependent side, so both the
-  // NULL-determinant rule (a NULL anywhere in the key kills the group) and
-  // the NULL-rhs rule (NULL vs anything is not a difference) fire.
-  ASSERT_OK(db.Execute(
-      "CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER, d INTEGER);"
-      "CREATE CONSTRAINT fd FD ON t (a, b -> c, d)"));
-  double null_p = 0.1 + 0.2 * rng.UniformDouble();
-  size_t n = 20 + rng.Uniform(40);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_OK(db.InsertRow(
-        "t", Row{MaybeNullInt(&rng, null_p, 3), MaybeNullInt(&rng, null_p, 3),
-                 MaybeNullInt(&rng, null_p, 4),
-                 MaybeNullInt(&rng, null_p, 4)}));
-  }
-
-  DetectOptions fast;
-  DetectOptions generic;
-  generic.use_fd_fast_path = false;
-  CanonicalEdgeList want = DetectWith(&db, generic);
-  EXPECT_EQ(DetectWith(&db, fast), want)
-      << "FD fast path diverged from the generic join path";
-
-  // The same instance through every parallel/shard configuration of both
-  // paths (generic parallelizes at constraint granularity, fast by shards).
-  for (size_t threads : {2u, 4u}) {
-    for (size_t shard_rows : {1u, 8u}) {
-      for (bool use_fast : {true, false}) {
-        DetectOptions opts;
-        opts.use_fd_fast_path = use_fast;
-        opts.num_threads = threads;
-        opts.shard_rows = shard_rows;
-        EXPECT_EQ(DetectWith(&db, opts), want)
-            << "diverged at fast=" << use_fast << " threads=" << threads
-            << " shard_rows=" << shard_rows;
-      }
+  if (null_heavy) {
+    // Multi-column determinant AND multi-column dependent side, so both
+    // the NULL-determinant rule (a NULL anywhere in the key never joins)
+    // and the NULL-rhs rule (NULL vs anything is not a difference) fire.
+    ASSERT_OK(db.Execute(
+        "CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER, d INTEGER);"
+        "CREATE CONSTRAINT fd FD ON t (a, b -> c, d)"));
+    double null_p = 0.1 + 0.2 * rng.UniformDouble();
+    size_t n = 20 + rng.Uniform(40);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_OK(db.InsertRow(
+          "t",
+          Row{MaybeNullInt(&rng, null_p, 3), MaybeNullInt(&rng, null_p, 3),
+              MaybeNullInt(&rng, null_p, 4), MaybeNullInt(&rng, null_p, 4)}));
     }
+  } else {
+    // NULL-free, one-column determinant over ten keys: dense groups where
+    // every row meets several partners in both probe orders.
+    ASSERT_OK(db.Execute(
+        "CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER);"
+        "CREATE CONSTRAINT fd FD ON t (a -> b, c)"));
+    for (int i = 0; i < 60; ++i) {
+      ASSERT_OK(db.InsertRow(
+          "t", Row{Value::Int(rng.UniformInt(0, 9)),
+                   Value::Int(rng.UniformInt(0, 3)),
+                   Value::Int(rng.UniformInt(0, 2))}));
+    }
+  }
+  CanonicalEdgeList edges = CheckFdDetectionAgainstNaive(&db);
+  if (!null_heavy) {
+    EXPECT_FALSE(edges.empty()) << "seeds chosen to collide";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FdPathFuzz,
-                         ::testing::Values(3u, 17u, 99u, 4242u, 31415u,
-                                           271828u));
+INSTANTIATE_TEST_SUITE_P(
+    NullHeavy, FdPathFuzz,
+    ::testing::Combine(::testing::Values(3u, 17u, 99u, 4242u, 31415u,
+                                         271828u),
+                       ::testing::Values(true)));
+INSTANTIATE_TEST_SUITE_P(
+    Dense, FdPathFuzz,
+    ::testing::Combine(::testing::Values(21u, 22u, 23u, 24u, 25u, 26u, 27u,
+                                         28u, 29u, 30u),
+                       ::testing::Values(false)));
 
-// Deterministic pinning of the NULL corners (documented in detector.cc):
-// a NULL determinant never groups; a NULL dependent value never witnesses
-// a difference (`<>` is unknown), but two non-NULL differing values do,
-// even when another dependent column is NULL on either side.
+// Deterministic pinning of the NULL corners: a NULL determinant never
+// joins; a NULL dependent value never witnesses a difference (`<>` is
+// unknown), but two non-NULL differing values do, even when another
+// dependent column is NULL on either side.
 TEST(FdNullCornersTest, PinnedSemantics) {
   Database db;
   ASSERT_OK(db.Execute(
@@ -244,16 +266,8 @@ TEST(FdNullCornersTest, PinnedSemantics) {
       // cannot exist under set semantics — they would be equal).
       "INSERT INTO t VALUES (3, NULL, 1), (3, NULL, NULL)"));
 
-  DetectOptions fast;
-  DetectOptions generic;
-  generic.use_fd_fast_path = false;
-  CanonicalEdgeList fast_edges = DetectWith(&db, fast);
-  EXPECT_EQ(fast_edges, DetectWith(&db, generic));
-  ASSERT_EQ(fast_edges.size(), 1u);  // only the a=2 pair violates
-  DetectOptions sharded;
-  sharded.num_threads = 4;
-  sharded.shard_rows = 1;
-  EXPECT_EQ(DetectWith(&db, sharded), fast_edges);
+  EXPECT_EQ(CheckFdDetectionAgainstNaive(&db).size(), 1u)
+      << "only the a=2 pair violates";
 }
 
 // ---------------------------------------------------------------------------
@@ -322,8 +336,7 @@ TEST_P(IntraPartitionSweep, PartitionedEqualsSerialAndNaive) {
 
   // partition_rows = 1 forces one probe partition per worker even on the
   // test-sized tables; larger thresholds exercise the partial and
-  // no-split plans. shard_rows stays large so FD satellites run unsharded
-  // and scheduling interleaves unit kinds.
+  // no-split plans, so split and whole units interleave in the schedule.
   for (size_t threads : {2u, 4u, 8u}) {
     for (size_t partition_rows : {1u, 7u, 64u, 4096u}) {
       DetectOptions opts;
@@ -342,8 +355,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()));
 
 // Edge-id determinism across intra-partition configs: every parallel
-// decomposition — different thread counts, partition thresholds, FD shard
-// thresholds — must agree edge by edge (id, vertex set, provenance),
+// decomposition — different thread counts and partition thresholds — must
+// agree edge by edge (id, vertex set, provenance),
 // because BulkLoad orders insertion by canonical vertex set independently
 // of the decomposition.
 TEST(IntraPartitionDeterminismTest, EdgeIdsIndependentOfPartitioning) {
@@ -352,26 +365,20 @@ TEST(IntraPartitionDeterminismTest, EdgeIdsIndependentOfPartitioning) {
   BuildIntraPartitionScenario(&db, &rng, /*with_satellites=*/true);
   if (::testing::Test::HasFatalFailure()) return;
 
-  auto detect_full = [&](size_t threads, size_t partition_rows,
-                         size_t shard_rows) {
+  auto detect_full = [&](size_t threads, size_t partition_rows) {
     DetectOptions opts;
     opts.num_threads = threads;
     opts.partition_rows = partition_rows;
-    opts.shard_rows = shard_rows;
     ConflictDetector detector(db.catalog(), opts);
     auto g = detector.DetectAll(db.constraints(), db.foreign_keys());
     EXPECT_OK(g.status());
     return std::move(g).value();
   };
-  ConflictHypergraph base = detect_full(2, 1, 1);
+  ConflictHypergraph base = detect_full(2, 1);
   EXPECT_GT(base.NumEdges(), 0u);
-  for (auto [threads, partition_rows, shard_rows] :
-       {std::tuple<size_t, size_t, size_t>{3, 7, 16},
-        {4, 64, 1},
-        {8, 1, 4096},
-        {2, 4096, 4096}}) {
-    ConflictHypergraph other =
-        detect_full(threads, partition_rows, shard_rows);
+  for (auto [threads, partition_rows] :
+       {std::pair<size_t, size_t>{3, 7}, {4, 64}, {8, 1}, {2, 4096}}) {
+    ConflictHypergraph other = detect_full(threads, partition_rows);
     ASSERT_EQ(base.NumEdgeSlots(), other.NumEdgeSlots())
         << "threads=" << threads << " partition_rows=" << partition_rows;
     for (size_t e = 0; e < base.NumEdgeSlots(); ++e) {

@@ -427,7 +427,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FkChurnDifferential,
 // FK-churn stream runs on it. After every operation the maintained graph
 // must match a fresh parallel re-detection — guarding the min-provenance
 // invariant across both subsystems regardless of how the initial graph was
-// decomposed into threads and shards.
+// decomposed into threads and partitions.
 // ---------------------------------------------------------------------------
 
 TEST(IncrementalAfterParallelTest, FkChurnMatchesParallelRedetection) {
@@ -437,8 +437,8 @@ TEST(IncrementalAfterParallelTest, FkChurnMatchesParallelRedetection) {
       "CREATE TABLE dept (did INTEGER);"
       "CREATE TABLE emp (eid INTEGER, salary INTEGER, did INTEGER);"
       // An FD on the child table too, so the parallel build exercises FD
-      // sharding and the FK fan-out in one graph and the maintainer keeps
-      // both edge flavours coherent.
+      // probe partitions and the FK fan-out in one graph and the
+      // maintainer keeps both edge flavours coherent.
       "CREATE CONSTRAINT fd FD ON emp (eid -> salary);"
       "CREATE CONSTRAINT fk FOREIGN KEY emp (did) REFERENCES dept (did)"));
   ASSERT_OK(db.Execute(
@@ -446,10 +446,11 @@ TEST(IncrementalAfterParallelTest, FkChurnMatchesParallelRedetection) {
       "INSERT INTO emp VALUES (1, 10, 0), (1, 20, 1), (2, 10, 9), "
       "(3, 5, NULL)"));
 
-  // Force real parallelism on a tiny instance: 4 threads, shards of 2 rows.
+  // Force real parallelism on a tiny instance: 4 threads, partitions of 2
+  // rows.
   DetectOptions popt;
   popt.num_threads = 4;
-  popt.shard_rows = 2;
+  popt.partition_rows = 2;
   db.SetDetectOptions(popt);
   ASSERT_OK(db.EnableIncrementalMaintenance());  // builds the graph in parallel
 

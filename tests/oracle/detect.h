@@ -1,11 +1,13 @@
 // Reference conflict detectors the production detector is tested against.
 //
-// DetectAllRows is ConflictDetector::DetectAll's serial generic path on the
-// row kernels (row_engine.h): the same join shape (ShapeGenericJoin) and FK
+// DetectAllRows is ConflictDetector::DetectAll's serial path on the row
+// kernels (row_engine.h): the same join shape (ShapeGenericJoin) and FK
 // orphan condition (ForeignKeyCondition), so it numbers edges exactly like
-// a serial DetectAll with the FD fast path off. NaiveDetect shares nothing
-// with the detector: nested loops over live rows, no join plans, no fast
-// paths.
+// a serial DetectAll. It stages every witness, including the mirrored
+// order of each FD pair that the detector skips; AddEdge collapses those,
+// so the comparison also checks that the detector's skip loses no edge.
+// NaiveDetect shares nothing with the detector: nested loops over live
+// rows, no join plans, no partitions.
 #pragma once
 
 #include <vector>
