@@ -280,9 +280,24 @@ Status Database::NoteDelete(RowId rid) {
   return Status::OK();
 }
 
+void Database::DeclareKeyIndexes(
+    const std::vector<IncrementalDetector::KeyIndexSpec>& specs) {
+  for (const IncrementalDetector::KeyIndexSpec& spec : specs) {
+    catalog_.MutableTable(spec.table).DeclareKeyIndex(spec.columns);
+  }
+}
+
+void Database::ReleaseKeyIndexes(
+    const std::vector<IncrementalDetector::KeyIndexSpec>& specs) {
+  for (const IncrementalDetector::KeyIndexSpec& spec : specs) {
+    catalog_.MutableTable(spec.table).ReleaseKeyIndex(spec.columns);
+  }
+}
+
 Status Database::DropConstraint(const std::string& name) {
   for (auto it = constraints_.begin(); it != constraints_.end(); ++it) {
     if (EqualsIgnoreCase(it->name(), name)) {
+      ReleaseKeyIndexes(IncrementalDetector::KeyIndexesFor(*it));
       constraints_.erase(it);
       InvalidateHypergraph();
       return Status::OK();
@@ -290,6 +305,7 @@ Status Database::DropConstraint(const std::string& name) {
   }
   for (auto it = foreign_keys_.begin(); it != foreign_keys_.end(); ++it) {
     if (EqualsIgnoreCase(it->name(), name)) {
+      ReleaseKeyIndexes(IncrementalDetector::KeyIndexesFor(*it));
       foreign_keys_.erase(it);
       InvalidateHypergraph();
       return Status::OK();
@@ -367,6 +383,7 @@ Status Database::AddConstraint(DenialConstraint constraint) {
           "requires parent relations to carry no other constraints");
     }
   }
+  DeclareKeyIndexes(IncrementalDetector::KeyIndexesFor(constraint));
   constraints_.push_back(std::move(constraint));
   InvalidateHypergraph();
   return Status::OK();
@@ -393,6 +410,7 @@ Status Database::AddForeignKey(ForeignKeyConstraint fk) {
         "foreign key child relation is the parent of another foreign key; "
         "outside the restricted class");
   }
+  DeclareKeyIndexes(IncrementalDetector::KeyIndexesFor(fk));
   foreign_keys_.push_back(std::move(fk));
   InvalidateHypergraph();
   return Status::OK();
@@ -558,7 +576,7 @@ std::unique_ptr<Database> Database::ForkShared() {
   // No hypergraph and no maintainer: the fork's first
   // EnableIncrementalMaintenance runs a fresh (typically parallel)
   // detection over its own state — that is the async round's background
-  // re-detect.
+  // re-detect — and attaches a maintainer to the inherited key indexes.
   return fork;
 }
 

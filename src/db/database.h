@@ -58,15 +58,20 @@ class Database {
 
   /// Registers an already-built constraint. Rejected if one of its atom
   /// relations is the parent of a foreign key (restricted-FK invariant).
+  /// Declares the key indexes its incremental maintenance probes
+  /// (IncrementalDetector::KeyIndexesFor) on its tables, building each new
+  /// one over the existing rows.
   Status AddConstraint(DenialConstraint constraint);
 
   /// Registers a restricted foreign key. The parent relation must carry no
   /// other constraints (denial atoms, FK child role) — that is what keeps
-  /// repairs representable by the conflict hypergraph.
+  /// repairs representable by the conflict hypergraph. Declares key
+  /// indexes on the parent and child columns, like AddConstraint.
   Status AddForeignKey(ForeignKeyConstraint fk);
 
   /// Removes a denial constraint or foreign key by name (NotFound when
   /// absent). Formerly conflicting tuples may become consistent answers.
+  /// A key index goes with the last constraint that declared it.
   Status DropConstraint(const std::string& name);
 
   /// Drops a table. Refused (NotSupported) while any constraint or foreign
@@ -182,11 +187,12 @@ class Database {
   /// table is pointer-shared via Catalog::Share (either side's next write
   /// copies only the touched table's header, then clones only the row
   /// chunks and index shards it writes), constraints are deep-copied, foreign
-  /// keys and options are copied. The fork starts with no hypergraph and
-  /// incremental maintenance off — it is a private lineage for the
-  /// service's asynchronous bulk/DDL commit rounds: apply the bulk there,
-  /// re-detect in the background, replay overtaking small commits, then
-  /// swap the fork in as the new master (a pointer swap).
+  /// keys and options are copied. The tables' key indexes come along, so
+  /// the fork's maintainer attaches without reading a row. The fork starts
+  /// with no hypergraph and incremental maintenance off — it is a private
+  /// lineage for the service's asynchronous bulk/DDL commit rounds: apply
+  /// the bulk there, re-detect in the background, replay overtaking small
+  /// commits, then swap the fork in as the new master (a pointer swap).
   ///
   /// A writer-path operation on *this* database too (Share marks the
   /// tables shared): requires the same exclusion as DML.
@@ -249,6 +255,12 @@ class Database {
 
   Status ExecuteDelete(const sql::DeleteStmt& stmt);
   Status ExecuteUpdate(const sql::UpdateStmt& stmt);
+
+  /// Declare / release the key indexes a constraint's maintenance probes.
+  void DeclareKeyIndexes(
+      const std::vector<IncrementalDetector::KeyIndexSpec>& specs);
+  void ReleaseKeyIndexes(
+      const std::vector<IncrementalDetector::KeyIndexSpec>& specs);
 
   /// True if `table_id` appears as the parent of a registered foreign key.
   bool IsFkParent(uint32_t table_id) const;

@@ -1,8 +1,5 @@
 #include "detect/incremental.h"
 
-#include <algorithm>
-
-#include "common/str_util.h"
 #include "expr/evaluator.h"
 
 namespace hippo {
@@ -24,12 +21,42 @@ Row ConcatAtoms(const Catalog& catalog, const DenialConstraint& dc,
 
 }  // namespace
 
+bool IncrementalDetector::SplitBinaryEqui(const DenialConstraint& dc,
+                                          BinaryEqui* be) {
+  if (!dc.IsBinary() || dc.condition() == nullptr) return false;
+  std::vector<EquiPair> pairs;
+  ExprPtr residual;
+  SplitJoinCondition(*dc.condition(), dc.atom_width(0), &pairs, &residual);
+  if (pairs.empty()) return false;
+  for (const EquiPair& p : pairs) {
+    be->key_cols[0].push_back(static_cast<size_t>(p.left_index));
+    be->key_cols[1].push_back(static_cast<size_t>(p.right_index));
+  }
+  be->residual = std::move(residual);
+  return true;
+}
+
+std::vector<IncrementalDetector::KeyIndexSpec>
+IncrementalDetector::KeyIndexesFor(const DenialConstraint& dc) {
+  BinaryEqui be;
+  if (dc.IsUnary() || !SplitBinaryEqui(dc, &be)) return {};
+  return {KeyIndexSpec{dc.atoms()[0].table_id, std::move(be.key_cols[0])},
+          KeyIndexSpec{dc.atoms()[1].table_id, std::move(be.key_cols[1])}};
+}
+
+std::vector<IncrementalDetector::KeyIndexSpec>
+IncrementalDetector::KeyIndexesFor(const ForeignKeyConstraint& fk) {
+  return {KeyIndexSpec{fk.parent_table(), fk.parent_columns()},
+          KeyIndexSpec{fk.child_table(), fk.child_columns()}};
+}
+
 Result<std::unique_ptr<IncrementalDetector>> IncrementalDetector::Make(
     const Catalog& catalog, const std::vector<DenialConstraint>& constraints,
     const std::vector<ForeignKeyConstraint>& foreign_keys,
     ConflictHypergraph* graph) {
   std::unique_ptr<IncrementalDetector> d(
       new IncrementalDetector(catalog, graph));
+  std::vector<KeyIndexSpec> probed;
   for (size_t i = 0; i < constraints.size(); ++i) {
     const DenialConstraint& dc = constraints[i];
     uint32_t index = static_cast<uint32_t>(i);
@@ -37,65 +64,35 @@ Result<std::unique_ptr<IncrementalDetector>> IncrementalDetector::Make(
       d->unary_.push_back(Unary{index, &dc});
       continue;
     }
-    if (dc.IsBinary() && dc.condition() != nullptr) {
-      std::vector<EquiPair> pairs;
-      ExprPtr residual;
-      SplitJoinCondition(*dc.condition(), dc.atom_width(0), &pairs, &residual);
-      if (!pairs.empty()) {
-        BinaryEqui be;
-        be.constraint_index = index;
-        be.dc = &dc;
-        for (const EquiPair& p : pairs) {
-          be.key_cols[0].push_back(static_cast<size_t>(p.left_index));
-          be.key_cols[1].push_back(static_cast<size_t>(p.right_index));
-        }
-        be.residual = std::move(residual);
-        d->binary_.push_back(std::move(be));
-        continue;
+    BinaryEqui be;
+    if (SplitBinaryEqui(dc, &be)) {
+      be.constraint_index = index;
+      be.dc = &dc;
+      for (size_t side = 0; side < 2; ++side) {
+        probed.push_back(
+            KeyIndexSpec{dc.atoms()[side].table_id, be.key_cols[side]});
       }
+      d->binary_.push_back(std::move(be));
+      continue;
     }
     d->fallback_.push_back(Fallback{index, &dc});
   }
   for (size_t i = 0; i < foreign_keys.size(); ++i) {
-    FkState state;
-    state.constraint_index = static_cast<uint32_t>(constraints.size() + i);
-    state.fk = &foreign_keys[i];
-    d->fks_.push_back(std::move(state));
+    d->fks_.push_back(ForeignKey{
+        static_cast<uint32_t>(constraints.size() + i), &foreign_keys[i]});
+    for (KeyIndexSpec& spec : KeyIndexesFor(foreign_keys[i])) {
+      probed.push_back(std::move(spec));
+    }
   }
-  HIPPO_RETURN_NOT_OK(d->BuildIndexes());
+  for (const KeyIndexSpec& spec : probed) {
+    if (!catalog.table(spec.table).HasKeyIndex(spec.columns)) {
+      return Status::Internal(
+          "incremental maintenance: table " +
+          catalog.table(spec.table).name() +
+          " lacks a key index its constraints probe");
+    }
+  }
   return d;
-}
-
-Status IncrementalDetector::BuildIndexes() {
-  for (BinaryEqui& be : binary_) {
-    for (int side = 0; side < 2; ++side) {
-      const Table& table =
-          catalog_.table(be.dc->atoms()[static_cast<size_t>(side)].table_id);
-      for (uint32_t r = 0; r < table.NumRows(); ++r) {
-        if (!table.IsLive(r)) continue;
-        Row key;
-        if (!ExtractKey(table.row(r), be.key_cols[side], &key)) continue;
-        be.index[side][std::move(key)].push_back(r);
-      }
-    }
-  }
-  for (FkState& fk : fks_) {
-    const Table& parent = catalog_.table(fk.fk->parent_table());
-    for (uint32_t r = 0; r < parent.NumRows(); ++r) {
-      if (!parent.IsLive(r)) continue;
-      Row key;
-      if (!ExtractKey(parent.row(r), fk.fk->parent_columns(), &key)) continue;
-      ++fk.parent_count[std::move(key)];
-    }
-    const Table& child = catalog_.table(fk.fk->child_table());
-    for (uint32_t r = 0; r < child.NumRows(); ++r) {
-      if (!child.IsLive(r)) continue;
-      Row key;
-      if (!ExtractKey(child.row(r), fk.fk->child_columns(), &key)) continue;
-      fk.children[std::move(key)].push_back(r);
-    }
-  }
-  return Status::OK();
 }
 
 bool IncrementalDetector::ExtractKey(const Row& row,
@@ -105,20 +102,12 @@ bool IncrementalDetector::ExtractKey(const Row& row,
   key->reserve(cols.size());
   for (size_t c : cols) {
     // SQL equality with NULL is never TRUE: a NULL-keyed row can't satisfy
-    // the cross-atom equalities, so it never enters (or probes) the index.
+    // the cross-atom equalities, so it never probes (and no key index
+    // holds it).
     if (row[c].is_null()) return false;
     key->push_back(row[c]);
   }
   return true;
-}
-
-void IncrementalDetector::RemoveFromBucket(RowIndex* index, const Row& key,
-                                           uint32_t row) {
-  auto it = index->find(key);
-  if (it == index->end()) return;
-  auto& rows = it->second;
-  rows.erase(std::remove(rows.begin(), rows.end(), row), rows.end());
-  if (rows.empty()) index->erase(it);
 }
 
 void IncrementalDetector::AddEdgeCounted(std::vector<RowId> vertices,
@@ -140,39 +129,35 @@ Status IncrementalDetector::InsertUnary(const Unary& u, RowId rid) {
   return Status::OK();
 }
 
-Status IncrementalDetector::InsertBinaryEqui(BinaryEqui* be, RowId rid) {
-  const uint32_t t0 = be->dc->atoms()[0].table_id;
-  const uint32_t t1 = be->dc->atoms()[1].table_id;
-  // Index first, probe second: when both atoms range over rid's table the
-  // new tuple may pair with itself, exactly as in the full detector's
-  // self-join (AddEdge collapses {t, t} to a unary edge).
+Status IncrementalDetector::InsertBinaryEqui(const BinaryEqui& be,
+                                             RowId rid) {
+  const uint32_t t0 = be.dc->atoms()[0].table_id;
+  const uint32_t t1 = be.dc->atoms()[1].table_id;
+  // The new tuple is already in its table's key indexes: when both atoms
+  // range over rid's table it may pair with itself, exactly as in the full
+  // detector's self-join (AddEdge collapses {t, t} to a unary edge).
   for (int side = 0; side < 2; ++side) {
-    uint32_t t = side == 0 ? t0 : t1;
-    if (t != rid.table) continue;
-    const Table& table = catalog_.table(t);
+    if ((side == 0 ? t0 : t1) != rid.table) continue;
     Row key;
-    if (!ExtractKey(table.row(rid.row), be->key_cols[side], &key)) continue;
-    be->index[side][std::move(key)].push_back(rid.row);
-  }
-  for (int side = 0; side < 2; ++side) {
-    uint32_t t = side == 0 ? t0 : t1;
-    if (t != rid.table) continue;
-    const Table& table = catalog_.table(t);
-    Row key;
-    if (!ExtractKey(table.row(rid.row), be->key_cols[side], &key)) continue;
-    auto it = be->index[1 - side].find(key);
-    if (it == be->index[1 - side].end()) continue;
-    for (uint32_t partner : it->second) {
-      ++stats_.fast_path_probes;
-      uint32_t left = side == 0 ? rid.row : partner;
-      uint32_t right = side == 0 ? partner : rid.row;
-      if (be->residual != nullptr) {
-        Row combined = ConcatAtoms(catalog_, *be->dc, {left, right});
-        if (!EvalPredicate(*be->residual, combined)) continue;
-      }
-      AddEdgeCounted({RowId{t0, left}, RowId{t1, right}},
-                     be->constraint_index);
+    if (!ExtractKey(catalog_.table(rid.table).row(rid.row),
+                    be.key_cols[side], &key)) {
+      continue;
     }
+    const Table& partners = catalog_.table(side == 0 ? t1 : t0);
+    partners.ForEachKeyMatch(
+        be.key_cols[1 - side], key, [&](uint32_t partner) {
+          ++stats_.fast_path_probes;
+          uint32_t left = side == 0 ? rid.row : partner;
+          uint32_t right = side == 0 ? partner : rid.row;
+          if (be.residual != nullptr &&
+              !EvalPredicate(*be.residual,
+                             ConcatAtoms(catalog_, *be.dc, {left, right}))) {
+            return true;
+          }
+          AddEdgeCounted({RowId{t0, left}, RowId{t1, right}},
+                         be.constraint_index);
+          return true;
+        });
   }
   return Status::OK();
 }
@@ -217,12 +202,18 @@ Status IncrementalDetector::InsertFallback(const Fallback& fb, RowId rid) {
   return Status::OK();
 }
 
-bool IncrementalDetector::HasLiveParent(const FkState& fk, const Row& key) {
-  auto it = fk.parent_count.find(key);
-  return it != fk.parent_count.end() && it->second > 0;
+bool IncrementalDetector::HasLiveParent(const ForeignKey& fk,
+                                        const Row& key) const {
+  bool found = false;
+  catalog_.table(fk.fk->parent_table())
+      .ForEachKeyMatch(fk.fk->parent_columns(), key, [&](uint32_t) {
+        found = true;
+        return false;
+      });
+  return found;
 }
 
-bool IncrementalDetector::IsOrphanUnder(const FkState& fk,
+bool IncrementalDetector::IsOrphanUnder(const ForeignKey& fk,
                                         RowId child) const {
   if (child.table != fk.fk->child_table()) return false;
   Row key;
@@ -233,62 +224,54 @@ bool IncrementalDetector::IsOrphanUnder(const FkState& fk,
   return !HasLiveParent(fk, key);
 }
 
-Status IncrementalDetector::InsertFk(FkState* fk, RowId rid) {
-  if (rid.table == fk->fk->child_table()) {
-    const Table& child = catalog_.table(rid.table);
-    Row key;
-    if (!ExtractKey(child.row(rid.row), fk->fk->child_columns(), &key)) {
-      // NULL-keyed children can never acquire a parent (permanent
-      // orphans); they are not tracked in the children index.
-      AddEdgeCounted({rid}, fk->constraint_index);
-    } else {
-      if (!HasLiveParent(*fk, key)) {
-        AddEdgeCounted({rid}, fk->constraint_index);
-      }
-      fk->children[std::move(key)].push_back(rid.row);
-    }
+Status IncrementalDetector::InsertFk(const ForeignKey& fk, RowId rid) {
+  if (rid.table == fk.fk->child_table() && IsOrphanUnder(fk, rid)) {
+    AddEdgeCounted({rid}, fk.constraint_index);
   }
-  if (rid.table == fk->fk->parent_table()) {
-    const Table& parent = catalog_.table(rid.table);
-    Row key;
-    if (!ExtractKey(parent.row(rid.row), fk->fk->parent_columns(), &key)) {
-      return Status::OK();  // NULL-keyed parents match no child
-    }
-    size_t& count = fk->parent_count[key];
-    ++count;
-    if (count == 1) {
-      // First parent for this key: the matching children are orphans no
-      // longer — retract their unary edges.
-      auto it = fk->children.find(key);
-      if (it != fk->children.end()) {
-        for (uint32_t c : it->second) {
-          RowId child_id{fk->fk->child_table(), c};
-          // Find this FK's unary edge among the child's incident edges.
-          // The canonical {child} edge is shared by every constraint that
-          // orphans this row, with the provenance of the first of them; it
-          // only carries this FK's index when this FK was that first one.
-          std::vector<ConflictHypergraph::EdgeId> incident =
-              graph_->IncidentEdges(child_id);
-          for (ConflictHypergraph::EdgeId e : incident) {
-            if (graph_->edge_constraint(e) == fk->constraint_index &&
-                graph_->edge(e).size() == 1) {
-              graph_->RemoveEdge(e);
-              ++stats_.edges_removed;
-              // If another FK still orphans this child, the violation
-              // survives the cure: revive the edge under the first such
-              // FK, matching a fresh detection run's provenance.
-              for (const FkState& other : fks_) {
-                if (&other != fk && IsOrphanUnder(other, child_id)) {
-                  AddEdgeCounted({child_id}, other.constraint_index);
-                  break;
-                }
-              }
+  if (rid.table != fk.fk->parent_table()) return Status::OK();
+  Row key;
+  if (!ExtractKey(catalog_.table(rid.table).row(rid.row),
+                  fk.fk->parent_columns(), &key)) {
+    return Status::OK();  // NULL-keyed parents match no child
+  }
+  // Only the first live parent of a key cures anything; rid itself is one.
+  size_t live_parents = 0;
+  catalog_.table(rid.table).ForEachKeyMatch(
+      fk.fk->parent_columns(), key, [&](uint32_t) {
+        return ++live_parents < 2;
+      });
+  if (live_parents != 1) return Status::OK();
+  // The matching children are orphans no longer — retract their unary
+  // edges.
+  catalog_.table(fk.fk->child_table())
+      .ForEachKeyMatch(fk.fk->child_columns(), key, [&](uint32_t c) {
+        RowId child_id{fk.fk->child_table(), c};
+        // Find this FK's unary edge among the child's incident edges. The
+        // canonical {child} edge is shared by every constraint that
+        // orphans this row, with the provenance of the first of them; it
+        // only carries this FK's index when this FK was that first one.
+        // A copy: RemoveEdge rewrites the incidence list.
+        std::vector<ConflictHypergraph::EdgeId> incident =
+            graph_->IncidentEdges(child_id);
+        for (ConflictHypergraph::EdgeId e : incident) {
+          if (graph_->edge_constraint(e) != fk.constraint_index ||
+              graph_->edge(e).size() != 1) {
+            continue;
+          }
+          graph_->RemoveEdge(e);
+          ++stats_.edges_removed;
+          // If another FK still orphans this child, the violation survives
+          // the cure: revive the edge under the first such FK, matching a
+          // fresh detection run's provenance.
+          for (const ForeignKey& other : fks_) {
+            if (&other != &fk && IsOrphanUnder(other, child_id)) {
+              AddEdgeCounted({child_id}, other.constraint_index);
+              break;
             }
           }
         }
-      }
-    }
-  }
+        return true;
+      });
   return Status::OK();
 }
 
@@ -299,10 +282,10 @@ Status IncrementalDetector::OnInsert(RowId rid) {
       HIPPO_RETURN_NOT_OK(InsertUnary(u, rid));
     }
   }
-  for (BinaryEqui& be : binary_) {
+  for (const BinaryEqui& be : binary_) {
     if (be.dc->atoms()[0].table_id == rid.table ||
         be.dc->atoms()[1].table_id == rid.table) {
-      HIPPO_RETURN_NOT_OK(InsertBinaryEqui(&be, rid));
+      HIPPO_RETURN_NOT_OK(InsertBinaryEqui(be, rid));
     }
   }
   for (const Fallback& fb : fallback_) {
@@ -312,10 +295,10 @@ Status IncrementalDetector::OnInsert(RowId rid) {
     }
     if (touches) HIPPO_RETURN_NOT_OK(InsertFallback(fb, rid));
   }
-  for (FkState& fk : fks_) {
+  for (const ForeignKey& fk : fks_) {
     if (rid.table == fk.fk->child_table() ||
         rid.table == fk.fk->parent_table()) {
-      HIPPO_RETURN_NOT_OK(InsertFk(&fk, rid));
+      HIPPO_RETURN_NOT_OK(InsertFk(fk, rid));
     }
   }
   return Status::OK();
@@ -323,36 +306,22 @@ Status IncrementalDetector::OnInsert(RowId rid) {
 
 // --- delete ----------------------------------------------------------------
 
-Status IncrementalDetector::DeleteFk(FkState* fk, RowId rid) {
-  if (rid.table == fk->fk->child_table()) {
-    const Table& child = catalog_.table(rid.table);
-    Row key;
-    if (ExtractKey(child.row(rid.row), fk->fk->child_columns(), &key)) {
-      RemoveFromBucket(&fk->children, key, rid.row);
-    }
-    // The child's own orphan edge (if any) falls with RemoveIncidentEdges.
+Status IncrementalDetector::DeleteFk(const ForeignKey& fk, RowId rid) {
+  // A deleted child's own orphan edge (if any) fell with
+  // RemoveIncidentEdges; only a deleted parent can create edges.
+  if (rid.table != fk.fk->parent_table()) return Status::OK();
+  Row key;
+  if (!ExtractKey(catalog_.table(rid.table).row(rid.row),
+                  fk.fk->parent_columns(), &key) ||
+      HasLiveParent(fk, key)) {
+    return Status::OK();
   }
-  if (rid.table == fk->fk->parent_table()) {
-    const Table& parent = catalog_.table(rid.table);
-    Row key;
-    if (!ExtractKey(parent.row(rid.row), fk->fk->parent_columns(), &key)) {
-      return Status::OK();
-    }
-    auto it = fk->parent_count.find(key);
-    HIPPO_CHECK_MSG(it != fk->parent_count.end() && it->second > 0,
-                    "parent count underflow in incremental FK maintenance");
-    if (--it->second == 0) {
-      fk->parent_count.erase(it);
-      // Last parent gone: the matching children become orphans.
-      auto cit = fk->children.find(key);
-      if (cit != fk->children.end()) {
-        for (uint32_t c : cit->second) {
-          AddEdgeCounted({RowId{fk->fk->child_table(), c}},
-                         fk->constraint_index);
-        }
-      }
-    }
-  }
+  // Last parent gone: the matching children become orphans.
+  catalog_.table(fk.fk->child_table())
+      .ForEachKeyMatch(fk.fk->child_columns(), key, [&](uint32_t c) {
+        AddEdgeCounted({RowId{fk.fk->child_table(), c}}, fk.constraint_index);
+        return true;
+      });
   return Status::OK();
 }
 
@@ -361,22 +330,8 @@ Status IncrementalDetector::OnDelete(RowId rid) {
   // Denial constraints are anti-monotone: deleting a tuple only removes
   // violations, all of which are incident to it.
   stats_.edges_removed += graph_->RemoveIncidentEdges(rid);
-  for (BinaryEqui& be : binary_) {
-    for (int side = 0; side < 2; ++side) {
-      if (be.dc->atoms()[static_cast<size_t>(side)].table_id != rid.table) {
-        continue;
-      }
-      const Table& table = catalog_.table(rid.table);
-      Row key;
-      if (!ExtractKey(table.row(rid.row), be.key_cols[side], &key)) continue;
-      RemoveFromBucket(&be.index[side], key, rid.row);
-    }
-  }
-  for (FkState& fk : fks_) {
-    if (rid.table == fk.fk->child_table() ||
-        rid.table == fk.fk->parent_table()) {
-      HIPPO_RETURN_NOT_OK(DeleteFk(&fk, rid));
-    }
+  for (const ForeignKey& fk : fks_) {
+    HIPPO_RETURN_NOT_OK(DeleteFk(fk, rid));
   }
   return Status::OK();
 }

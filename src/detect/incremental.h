@@ -11,17 +11,26 @@
 //     pinning one constraint atom to t and evaluating the rest:
 //       - unary constraints: evaluate the condition on t directly;
 //       - binary constraints whose condition contains cross-atom equalities
-//         (FDs, exclusion constraints, most denial rules): probe a hash
-//         index keyed on the equated columns, then check the residual
-//         condition — O(partners) per insert;
+//         (FDs, exclusion constraints, most denial rules): probe the
+//         partner table's key index on the equated columns, then check the
+//         residual condition — O(partners) per insert;
 //       - other constraints: nested-loop over the remaining atoms
 //         (polynomial fallback, mirrors the full detector's semantics).
 //   * DELETE t:  every edge incident to t vanishes, and no new denial
 //     violations can appear.
 //   * Restricted foreign keys are the one non-anti-monotone case: deleting
 //     a parent tuple orphans its children (new unary edges) and inserting a
-//     parent can cure orphans (edge removal). Both transitions are tracked
-//     with per-key parent counts and child lists.
+//     parent can cure orphans (edge removal). Both transitions are decided
+//     by probing the parent and child tables' key indexes for live rows.
+//
+// The maintainer owns no index. The key indexes it probes live in the
+// tables (Table::DeclareKeyIndex), under the tables' copy-on-write
+// partitioning, so snapshots and forks inherit them in O(#shards) and
+// building a maintainer (Make) is O(constraints). KeyIndexesFor names the
+// column lists; Database declares them when it adds a constraint and
+// releases them when it drops one. Partners are visited in ascending slot
+// order, a function of the table's contents alone, so the ids of edges the
+// maintainer adds never depend on the history of the indexes.
 //
 // The maintained graph is structurally identical to a fresh run of
 // ConflictDetector::DetectAll (differential-tested in
@@ -29,7 +38,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -45,7 +53,7 @@ struct IncrementalStats {
   size_t deletes = 0;
   size_t edges_added = 0;
   size_t edges_removed = 0;
-  /// Bucket partners examined by the binary-equi fast path.
+  /// Live key-index partners examined by the binary-equi fast path.
   size_t fast_path_probes = 0;
   /// Atom assignments evaluated by the nested-loop fallback.
   size_t fallback_rows = 0;
@@ -55,7 +63,8 @@ struct IncrementalStats {
 ///
 /// Non-owning: the catalog, constraint lists, and graph must outlive the
 /// detector, and the constraint lists must not change while it is in use
-/// (Database rebuilds the detector whenever a constraint is added).
+/// (Database rebuilds the detector whenever a constraint is added or
+/// dropped).
 ///
 /// Replay contract (service commit pipeline): because OnInsert/OnDelete
 /// depend only on the graph/instance state they are applied to — not on
@@ -65,10 +74,25 @@ struct IncrementalStats {
 /// makes the pipeline's async-round replay sound (DESIGN.md §5).
 class IncrementalDetector {
  public:
-  /// Builds the auxiliary indexes from the current (live) instance. `graph`
-  /// must be the conflict hypergraph of that same instance. Constraint
-  /// indexes follow DetectAll's convention: denial constraints first, then
-  /// foreign keys.
+  /// A key index the maintainer probes: a column list of one table.
+  struct KeyIndexSpec {
+    uint32_t table = 0;
+    std::vector<size_t> columns;
+  };
+
+  /// The key indexes that maintaining `dc` probes: each side's equated
+  /// columns of a binary equi-constraint (none for other constraints).
+  static std::vector<KeyIndexSpec> KeyIndexesFor(const DenialConstraint& dc);
+  /// The key indexes that maintaining `fk` probes: its parent and child
+  /// columns.
+  static std::vector<KeyIndexSpec> KeyIndexesFor(
+      const ForeignKeyConstraint& fk);
+
+  /// Attaches a maintainer to `graph`, which must be the conflict
+  /// hypergraph of the catalog's current instance. O(constraints): reads
+  /// no row. Fails when a table lacks a key index KeyIndexesFor names.
+  /// Constraint indexes follow DetectAll's convention: denial constraints
+  /// first, then foreign keys.
   static Result<std::unique_ptr<IncrementalDetector>> Make(
       const Catalog& catalog,
       const std::vector<DenialConstraint>& constraints,
@@ -84,17 +108,13 @@ class IncrementalDetector {
   const IncrementalStats& stats() const { return stats_; }
 
  private:
-  using RowIndex =
-      std::unordered_map<Row, std::vector<uint32_t>, RowHasher, RowEq>;
-
   /// A binary constraint with cross-atom equality conjuncts: partner lookup
-  /// is a hash probe on the equated columns.
+  /// is a key index probe on the equated columns.
   struct BinaryEqui {
     uint32_t constraint_index = 0;
     const DenialConstraint* dc = nullptr;
     std::vector<size_t> key_cols[2];  ///< per side, in matching pair order
     ExprPtr residual;  ///< over the combined schema; null means TRUE
-    RowIndex index[2];
   };
 
   /// Unary constraint: membership is decided by the tuple alone.
@@ -109,36 +129,30 @@ class IncrementalDetector {
     const DenialConstraint* dc = nullptr;
   };
 
-  struct FkState {
+  struct ForeignKey {
     uint32_t constraint_index = 0;
     const ForeignKeyConstraint* fk = nullptr;
-    /// Live parent rows per referenced-key value.
-    std::unordered_map<Row, size_t, RowHasher, RowEq> parent_count;
-    /// Live child rows per referencing-key value (NULL-keyed children are
-    /// permanent orphans and are not tracked).
-    RowIndex children;
   };
 
   IncrementalDetector(const Catalog& catalog, ConflictHypergraph* graph)
       : catalog_(catalog), graph_(graph) {}
 
-  Status BuildIndexes();
+  /// Fills `be`'s key columns and residual when `dc` is a binary
+  /// constraint with cross-atom equalities; false otherwise.
+  static bool SplitBinaryEqui(const DenialConstraint& dc, BinaryEqui* be);
 
   /// True when some live parent row carries `key`.
-  static bool HasLiveParent(const FkState& fk, const Row& key);
+  bool HasLiveParent(const ForeignKey& fk, const Row& key) const;
 
   /// True when `child` is a live orphan under `fk`: its key is NULL
   /// (permanent orphan) or has no live parent row.
-  bool IsOrphanUnder(const FkState& fk, RowId child) const;
+  bool IsOrphanUnder(const ForeignKey& fk, RowId child) const;
 
   Status InsertUnary(const Unary& u, RowId rid);
-  Status InsertBinaryEqui(BinaryEqui* be, RowId rid);
+  Status InsertBinaryEqui(const BinaryEqui& be, RowId rid);
   Status InsertFallback(const Fallback& fb, RowId rid);
-  Status InsertFk(FkState* fk, RowId rid);
-  Status DeleteFk(FkState* fk, RowId rid);
-
-  /// Removes `rid`'s entry from an index bucket.
-  static void RemoveFromBucket(RowIndex* index, const Row& key, uint32_t row);
+  Status InsertFk(const ForeignKey& fk, RowId rid);
+  Status DeleteFk(const ForeignKey& fk, RowId rid);
 
   /// Extracts the key values of `row` at `cols`; false when any is NULL.
   static bool ExtractKey(const Row& row, const std::vector<size_t>& cols,
@@ -151,7 +165,7 @@ class IncrementalDetector {
   std::vector<Unary> unary_;
   std::vector<BinaryEqui> binary_;
   std::vector<Fallback> fallback_;
-  std::vector<FkState> fks_;
+  std::vector<ForeignKey> fks_;
   IncrementalStats stats_;
 };
 

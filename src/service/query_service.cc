@@ -443,7 +443,8 @@ void QueryService::StartAsyncRound(std::vector<CommitRequest> group) {
   if (detect_thread_.joinable()) detect_thread_.join();
   // The background half of the round: apply the bulk/DDL scripts to the
   // private fork, then bring its hypergraph up (a fresh, typically
-  // parallel DetectAll + maintainer build). The master lineage keeps
+  // parallel DetectAll; the maintainer attaches to the key indexes the
+  // fork's tables inherited, reading no row). The master lineage keeps
   // serving small groups on the pipeline thread meanwhile.
   detect_thread_ = std::thread([this] {
     auto apply_start = std::chrono::steady_clock::now();
@@ -481,8 +482,11 @@ void QueryService::FinishAsyncRound() {
   SnapshotPtr snap;
   Status published;
   // The superseded epoch and the losing Database lineage (old master, or
-  // the fork of a failed round) are released after master_mu_ is dropped:
-  // either may hold the last reference to O(database) storage.
+  // the fork of a failed round) are released after master_mu_ is dropped.
+  // The old master shares every partition it did not write during the
+  // round — rows and key indexes alike — with the fork, so it frees only
+  // what it dirtied plus its hypergraph; a failed fork frees what the bulk
+  // wrote.
   SnapshotPtr superseded;
   std::unique_ptr<Database> retired;
   const size_t replayed = replay_log_.size();

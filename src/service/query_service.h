@@ -139,8 +139,9 @@ struct CommitPhases {
   /// Execute() of the group this commit rode in (incremental maintenance
   /// runs inside apply on the small path).
   double apply_seconds = 0;
-  /// Standalone re-detection wall time (0 on the incremental path; the
-  /// background parallel DetectAll wall on async bulk/DDL rounds).
+  /// Standalone re-detection wall time (0 on the incremental path; on
+  /// async bulk/DDL rounds, the background parallel DetectAll plus an
+  /// O(constraints) maintainer attach).
   double detect_seconds = 0;
   /// Replay of overtaking small commits onto the re-detected fork (async
   /// rounds only).

@@ -23,6 +23,7 @@ Table::Table(const Table& other)
       schema_(other.schema_),
       chunks_(other.chunks_),
       shards_(other.shards_),
+      key_indexes_(other.key_indexes_),
       num_slots_(other.num_slots_),
       num_live_(other.num_live_) {
   other.MarkShared();
@@ -41,6 +42,12 @@ std::shared_ptr<Table> Table::DeepCopy() const {
       copy->shards_[s] = std::make_shared<IndexShard>(*shards_[s]);
     }
   }
+  copy->key_indexes_ = key_indexes_;
+  for (KeyIndex& index : copy->key_indexes_) {
+    for (auto& shard : index.shards) {
+      if (shard != nullptr) shard = std::make_shared<KeyShard>(*shard);
+    }
+  }
   copy->num_slots_ = num_slots_;
   copy->num_live_ = num_live_;
   return copy;
@@ -50,6 +57,11 @@ void Table::MarkShared() const {
   for (const auto& chunk : chunks_) chunk->shared.Set();
   for (const auto& shard : shards_) {
     if (shard != nullptr) shard->shared.Set();
+  }
+  for (const KeyIndex& index : key_indexes_) {
+    for (const auto& shard : index.shards) {
+      if (shard != nullptr) shard->shared.Set();
+    }
   }
 }
 
@@ -78,7 +90,43 @@ Table::IndexShard* Table::MutableShard(size_t si) {
   return shards_[si].get();
 }
 
+Table::KeyShard* Table::MutableKeyShard(KeyIndex* index, size_t si) {
+  std::shared_ptr<KeyShard>& shard = index->shards[si];
+  if (shard == nullptr) {
+    shard = std::make_shared<KeyShard>();
+  } else if (shard->shared.IsSet()) {
+    // Room for the entry (and group) the caller is about to append, so
+    // the clone is not copied a second time by the vector's growth.
+    auto copy = std::make_shared<KeyShard>();
+    copy->cells = shard->cells;
+    copy->groups.reserve(shard->groups.size() + 1);
+    copy->groups = shard->groups;
+    copy->entries.reserve(shard->entries.size() + 1);
+    copy->entries = shard->entries;
+    shard = std::move(copy);
+  }
+  return shard.get();
+}
+
 // --- full-row index --------------------------------------------------------
+
+namespace {
+
+/// Doubles an open-addressing cell array whose cells keep a hash tag in
+/// their high 32 bits (the tag picks the home cell), re-placing each cell.
+void GrowCells(std::vector<uint64_t>* cells) {
+  std::vector<uint64_t> old = std::move(*cells);
+  cells->assign(std::max<size_t>(16, 2 * old.size()), 0);
+  const size_t mask = cells->size() - 1;
+  for (uint64_t cell : old) {
+    if (cell == 0) continue;
+    size_t i = static_cast<uint32_t>(cell >> 32) & mask;
+    while ((*cells)[i] != 0) i = (i + 1) & mask;
+    (*cells)[i] = cell;
+  }
+}
+
+}  // namespace
 
 uint64_t Table::IndexHash(const Row& row) { return Mix64(HashRow(row)); }
 
@@ -99,23 +147,109 @@ std::optional<uint32_t> Table::Lookup(const Row& probe, uint64_t hash) const {
 void Table::IndexInsert(uint64_t hash, uint32_t slot) {
   IndexShard* shard = MutableShard(hash >> kShardShift);
   // Keep the load factor at or below 1/2 so linear probes stay short.
-  if (2 * (shard->size + 1) > shard->cells.size()) {
-    std::vector<uint64_t> old = std::move(shard->cells);
-    shard->cells.assign(std::max<size_t>(16, 2 * old.size()), 0);
-    const size_t mask = shard->cells.size() - 1;
-    for (uint64_t cell : old) {
-      if (cell == 0) continue;
-      size_t i = static_cast<uint32_t>(cell >> 32) & mask;
-      while (shard->cells[i] != 0) i = (i + 1) & mask;
-      shard->cells[i] = cell;
-    }
-  }
+  if (2 * (shard->size + 1) > shard->cells.size()) GrowCells(&shard->cells);
   const size_t mask = shard->cells.size() - 1;
   const uint32_t tag = static_cast<uint32_t>(hash);
   size_t i = tag & mask;
   while (shard->cells[i] != 0) i = (i + 1) & mask;
   shard->cells[i] = (static_cast<uint64_t>(tag) << 32) | (uint64_t{slot} + 1);
   ++shard->size;
+}
+
+// --- key indexes -----------------------------------------------------------
+
+size_t Table::KeyIndexPosition(const std::vector<size_t>& columns) const {
+  size_t i = 0;
+  while (i < key_indexes_.size() && key_indexes_[i].columns != columns) ++i;
+  return i;
+}
+
+size_t Table::FindKeyCell(const KeyShard& shard, uint32_t tag,
+                          const std::vector<size_t>& columns,
+                          const Row& key) const {
+  const size_t mask = shard.cells.size() - 1;
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
+    const uint64_t cell = shard.cells[i];
+    if (cell == 0) return i;
+    if (static_cast<uint32_t>(cell >> 32) != tag) continue;
+    const KeyShard::Group& group =
+        shard.groups[static_cast<uint32_t>(cell) - 1];
+    const Row& first = row(shard.entries[group.head].slot);
+    bool same = true;
+    for (size_t k = 0; same && k < columns.size(); ++k) {
+      same = first[columns[k]] == key[k];
+    }
+    if (same) return i;
+  }
+}
+
+const Table::KeyShard* Table::FindKeyGroup(const std::vector<size_t>& columns,
+                                           const Row& key,
+                                           uint32_t* head) const {
+  const size_t at = KeyIndexPosition(columns);
+  HIPPO_CHECK_MSG(at < key_indexes_.size(), "probe of an undeclared key index");
+  const uint64_t hash = IndexHash(key);
+  const KeyShard* shard = key_indexes_[at].shards[hash >> kShardShift].get();
+  if (shard == nullptr) return nullptr;
+  const uint64_t cell = shard->cells[FindKeyCell(
+      *shard, static_cast<uint32_t>(hash), columns, key)];
+  if (cell == 0) return nullptr;
+  *head = shard->groups[static_cast<uint32_t>(cell) - 1].head;
+  return shard;
+}
+
+void Table::KeyIndexInsert(KeyIndex* index, uint32_t slot) {
+  Row key;
+  key.reserve(index->columns.size());
+  for (size_t c : index->columns) {
+    if (row(slot)[c].is_null()) return;  // NULL never equals a key
+    key.push_back(row(slot)[c]);
+  }
+  const uint64_t hash = IndexHash(key);
+  KeyShard* shard = MutableKeyShard(index, hash >> kShardShift);
+  // Keep the load factor over distinct keys at or below 1/2.
+  if (2 * (shard->groups.size() + 1) > shard->cells.size()) {
+    GrowCells(&shard->cells);
+  }
+  const uint32_t tag = static_cast<uint32_t>(hash);
+  const size_t at = FindKeyCell(*shard, tag, index->columns, key);
+  const uint32_t entry = static_cast<uint32_t>(shard->entries.size());
+  shard->entries.push_back(KeyShard::Entry{slot, 0});
+  if (shard->cells[at] == 0) {
+    shard->cells[at] = (static_cast<uint64_t>(tag) << 32) |
+                       (uint64_t{shard->groups.size()} + 1);
+    shard->groups.push_back(KeyShard::Group{entry, entry});
+  } else {
+    KeyShard::Group& group =
+        shard->groups[static_cast<uint32_t>(shard->cells[at]) - 1];
+    shard->entries[group.tail].next = entry + 1;
+    group.tail = entry;
+  }
+}
+
+void Table::DeclareKeyIndex(const std::vector<size_t>& columns) {
+  const size_t at = KeyIndexPosition(columns);
+  if (at < key_indexes_.size()) {
+    ++key_indexes_[at].declarations;
+    return;
+  }
+  KeyIndex& index = key_indexes_.emplace_back();
+  index.columns = columns;
+  index.declarations = 1;
+  for (size_t slot = 0; slot < num_slots_; ++slot) {
+    KeyIndexInsert(&index, static_cast<uint32_t>(slot));
+  }
+}
+
+void Table::ReleaseKeyIndex(const std::vector<size_t>& columns) {
+  const size_t at = KeyIndexPosition(columns);
+  if (at < key_indexes_.size() && --key_indexes_[at].declarations == 0) {
+    key_indexes_.erase(key_indexes_.begin() + static_cast<ptrdiff_t>(at));
+  }
+}
+
+bool Table::HasKeyIndex(const std::vector<size_t>& columns) const {
+  return KeyIndexPosition(columns) < key_indexes_.size();
 }
 
 // --- rows ------------------------------------------------------------------
@@ -157,6 +291,7 @@ Result<std::pair<RowId, bool>> Table::Insert(const Row& values) {
   chunk->live.push_back(true);
   ++num_slots_;
   IndexInsert(hash, idx);
+  for (KeyIndex& index : key_indexes_) KeyIndexInsert(&index, idx);
   ++num_live_;
   InvalidateColumnar();  // a new slot extends the image
   return std::make_pair(RowId{id_, idx}, true);
@@ -195,6 +330,7 @@ std::optional<RowId> Table::Find(const Row& values) const {
 void Table::Clear() {
   chunks_.clear();
   shards_.fill(nullptr);
+  for (KeyIndex& index : key_indexes_) index.shards.fill(nullptr);
   num_slots_ = 0;
   num_live_ = 0;
   InvalidateColumnar();
@@ -275,7 +411,8 @@ void Table::AccumulateApproxBytes(std::unordered_set<const void*>* seen,
   if (seen->insert(this).second) {
     *bytes += sizeof(Table) + name_.capacity() +
               schema_.NumColumns() * sizeof(Column) +
-              chunks_.capacity() * sizeof(chunks_[0]);
+              chunks_.capacity() * sizeof(chunks_[0]) +
+              key_indexes_.capacity() * sizeof(KeyIndex);
   }
   for (const auto& chunk : chunks_) {
     if (!seen->insert(chunk.get()).second) continue;
@@ -287,6 +424,15 @@ void Table::AccumulateApproxBytes(std::unordered_set<const void*>* seen,
   for (const auto& shard : shards_) {
     if (shard == nullptr || !seen->insert(shard.get()).second) continue;
     *bytes += sizeof(IndexShard) + shard->cells.capacity() * sizeof(uint64_t);
+  }
+  for (const KeyIndex& index : key_indexes_) {
+    for (const auto& shard : index.shards) {
+      if (shard == nullptr || !seen->insert(shard.get()).second) continue;
+      *bytes += sizeof(KeyShard) +
+                shard->cells.capacity() * sizeof(uint64_t) +
+                shard->groups.capacity() * sizeof(KeyShard::Group) +
+                shard->entries.capacity() * sizeof(KeyShard::Entry);
+    }
   }
   // The memoized columnar view owns its own typed buffers.
   std::shared_ptr<const TableColumns> view = MemoizedColumnar();
@@ -301,6 +447,11 @@ void Table::CollectStorageIdentity(
   for (const auto& chunk : chunks_) seen->insert(chunk.get());
   for (const auto& shard : shards_) {
     if (shard != nullptr) seen->insert(shard.get());
+  }
+  for (const KeyIndex& index : key_indexes_) {
+    for (const auto& shard : index.shards) {
+      if (shard != nullptr) seen->insert(shard.get());
+    }
   }
   std::shared_ptr<const TableColumns> view = MemoizedColumnar();
   if (view != nullptr) seen->insert(view.get());
@@ -317,6 +468,15 @@ std::vector<const void*> Table::IndexShardPointers() const {
   std::vector<const void*> out;
   out.reserve(kIndexShards);
   for (const auto& shard : shards_) out.push_back(shard.get());
+  return out;
+}
+
+std::vector<const void*> Table::KeyIndexShardPointers() const {
+  std::vector<const void*> out;
+  out.reserve(key_indexes_.size() * kIndexShards);
+  for (const KeyIndex& index : key_indexes_) {
+    for (const auto& shard : index.shards) out.push_back(shard.get());
+  }
   return out;
 }
 

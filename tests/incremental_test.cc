@@ -3,6 +3,9 @@
 // update sequences (the paper's "long-running activity" scenario).
 #include "detect/incremental.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -249,6 +252,9 @@ TEST(IncrementalTernaryTest, ThreeAtomConstraint) {
 // ---------------------------------------------------------------------------
 // Randomized differential sweep: a long mixed DML sequence over a schema
 // with an FD, an exclusion constraint, a fallback constraint, and an FK.
+// The exclusion pairs an INTEGER column with a DOUBLE one (5 = 5.0 must
+// meet through one key hash; half-integral values must not), and one step
+// re-inserts a previously deleted exact row, which resurrects its slot.
 // After every operation the maintained hypergraph must equal scratch
 // detection; periodically, CQA answers must match all-repairs evaluation.
 // ---------------------------------------------------------------------------
@@ -261,7 +267,7 @@ TEST_P(IncrementalRandomSweep, MatchesScratchDetection) {
   ASSERT_OK(db.Execute(
       "CREATE TABLE parent (k INTEGER);"
       "CREATE TABLE emp (name INTEGER, salary INTEGER, pk INTEGER);"
-      "CREATE TABLE black (name INTEGER);"
+      "CREATE TABLE black (name DOUBLE);"
       "CREATE CONSTRAINT fd FD ON emp (name -> salary);"
       "CREATE CONSTRAINT ex EXCLUSION ON emp (name), black (name);"
       "CREATE CONSTRAINT ineq DENIAL (black AS a, black AS b WHERE "
@@ -276,14 +282,22 @@ TEST_P(IncrementalRandomSweep, MatchesScratchDetection) {
                Value::Int(static_cast<int64_t>(rng.Uniform(4)))};
   };
   auto random_black = [&] {
-    return Row{Value::Int(static_cast<int64_t>(rng.Uniform(8)))};
+    return Row{Value::Double(static_cast<double>(rng.Uniform(16)) / 2)};
   };
   auto random_parent = [&] {
     return Row{Value::Int(static_cast<int64_t>(rng.Uniform(4)))};
   };
 
+  // Exact emp rows a delete actually removed, for the resurrection step.
+  std::vector<Row> deleted_emp;
+  size_t resurrections = 0;
+  auto emp_live = [&](const Row& row) {
+    return std::as_const(db).catalog().GetTable("emp").value()->Find(row)
+        .has_value();
+  };
+
   for (int step = 0; step < 120; ++step) {
-    switch (rng.Uniform(7)) {
+    switch (rng.Uniform(8)) {
       case 0:
       case 1:
         ASSERT_OK(db.InsertRow("emp", random_emp()));
@@ -294,14 +308,24 @@ TEST_P(IncrementalRandomSweep, MatchesScratchDetection) {
       case 3:
         ASSERT_OK(db.InsertRow("parent", random_parent()));
         break;
-      case 4:
-        ASSERT_OK(db.DeleteRow("emp", random_emp()));
+      case 4: {
+        Row victim = random_emp();
+        if (emp_live(victim)) deleted_emp.push_back(victim);
+        ASSERT_OK(db.DeleteRow("emp", victim));
         break;
+      }
       case 5:
         ASSERT_OK(db.DeleteRow("parent", random_parent()));
         break;
       case 6:
         ASSERT_OK(db.DeleteRow("black", random_black()));
+        break;
+      case 7:
+        if (!deleted_emp.empty()) {
+          const Row& back = deleted_emp[rng.Uniform(deleted_emp.size())];
+          if (!emp_live(back)) ++resurrections;
+          ASSERT_OK(db.InsertRow("emp", back));
+        }
         break;
     }
     ExpectGraphMatchesScratch(&db, "at step " + std::to_string(step));
@@ -316,6 +340,7 @@ TEST_P(IncrementalRandomSweep, MatchesScratchDetection) {
           << "CQA diverged at step " << step;
     }
   }
+  EXPECT_GT(resurrections, 0u) << "the sweep never resurrected a row";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalRandomSweep,

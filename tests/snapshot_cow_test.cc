@@ -2,7 +2,11 @@
 //
 //   * untouched tables and hypergraph partitions are pointer-shared across
 //     epochs, and only the touched state is republished — within a touched
-//     table, only the row chunk and index shard a write lands in;
+//     table, only the row chunk, full-row index shard and key index shards
+//     a write lands in;
+//   * key indexes are shared by table copies, cloned per shard on insert,
+//     never written by a delete or a resurrection, and inherited by the
+//     fork of an async bulk round;
 //   * pinned sessions are bit-for-bit unaffected by later commits;
 //   * a randomized differential proves the COW representation equal to the
 //     deep-clone baseline (Catalog::Clone + ConflictHypergraph::DeepCopy)
@@ -180,6 +184,10 @@ TEST(CowSharing, OneRowInsertClonesOnlyTheTailChunkAndOneIndexShard) {
   EXPECT_EQ(CountDiffering(old_t0.IndexShardPointers(),
                            new_t0.IndexShardPointers()),
             1u);
+  // fd0's key index on t0.a: one shard.
+  EXPECT_EQ(CountDiffering(old_t0.KeyIndexShardPointers(),
+                           new_t0.KeyIndexShardPointers()),
+            1u);
 
   // The epoch's marginal bytes are a small fraction of t0 alone.
   std::unordered_set<const void*> seen;
@@ -219,6 +227,10 @@ TEST(CowSharing, OneRowDeleteInAMiddleChunkClonesOnlyThatChunk) {
                            new_t0.IndexShardPointers()),
             0u)
       << "a delete must not touch the index";
+  EXPECT_EQ(CountDiffering(old_t0.KeyIndexShardPointers(),
+                           new_t0.KeyIndexShardPointers()),
+            0u)
+      << "a delete must not touch a key index";
 }
 
 TEST(CowSharing, NoOpDmlDoesNotRepublishTables) {
@@ -309,6 +321,234 @@ TEST(CowSharing, PinnedSessionsAreUnaffectedByLaterCommits) {
   ASSERT_OK(refreshed.status());
   EXPECT_NE(refreshed.value().rows, pinned_plain.value().rows)
       << "refresh must observe the committed deletes";
+}
+
+// ---------------------------------------------------------------------------
+// Key indexes under copy-on-write (Table::DeclareKeyIndex).
+// ---------------------------------------------------------------------------
+
+Schema KeyedSchema() {
+  Schema schema;
+  schema.AddColumn(Column("a", TypeId::kInt));
+  schema.AddColumn(Column("b", TypeId::kDouble));
+  return schema;
+}
+
+/// A table spanning several chunks, with key indexes on {a} and {b}: row k
+/// is (k / 4, k % 8), so keys of {a} repeat four times and keys of {b}
+/// have n / 8 rows each.
+std::unique_ptr<Table> KeyedTable(size_t n) {
+  auto table = std::make_unique<Table>(0, "k", KeyedSchema());
+  Row row(2);
+  for (size_t k = 0; k < n; ++k) {
+    row[0] = Value::Int(static_cast<int64_t>(k / 4));
+    row[1] = Value::Double(static_cast<double>(k % 8));
+    EXPECT_OK(table->Insert(row).status());
+  }
+  table->DeclareKeyIndex({0});
+  table->DeclareKeyIndex({1});
+  return table;
+}
+
+/// Live slots holding `key` at `columns`, as the index reports them and as
+/// a scan finds them.
+std::vector<uint32_t> Probe(const Table& table,
+                            const std::vector<size_t>& columns,
+                            const Row& key) {
+  std::vector<uint32_t> slots;
+  table.ForEachKeyMatch(columns, key, [&](uint32_t slot) {
+    slots.push_back(slot);
+    return true;
+  });
+  return slots;
+}
+std::vector<uint32_t> Scan(const Table& table,
+                           const std::vector<size_t>& columns,
+                           const Row& key) {
+  std::vector<uint32_t> slots;
+  for (uint32_t r = 0; r < table.NumRows(); ++r) {
+    bool match = table.IsLive(r);
+    for (size_t i = 0; match && i < columns.size(); ++i) {
+      match = table.row(r)[columns[i]] == key[i];
+    }
+    if (match) slots.push_back(r);
+  }
+  return slots;
+}
+
+size_t NonNull(const std::vector<const void*>& pointers) {
+  size_t n = 0;
+  for (const void* p : pointers) n += p != nullptr ? 1 : 0;
+  return n;
+}
+
+TEST(KeyIndexCow, TableCopySharesEveryKeyShard) {
+  std::unique_ptr<Table> table = KeyedTable(3 * Table::kChunkSlots);
+  Table copy(*table);
+  EXPECT_EQ(copy.KeyIndexShardPointers(), table->KeyIndexShardPointers());
+  EXPECT_EQ(copy.KeyIndexShardPointers().size(), 2 * Table::kIndexShards);
+  // {a} has 768 distinct keys, so every one of its 64 shards is in use;
+  // {b} has 8.
+  EXPECT_GT(NonNull(copy.KeyIndexShardPointers()), Table::kIndexShards);
+}
+
+TEST(KeyIndexCow, InsertClonesOneKeyShardPerIndexDeleteAndResurrectNone) {
+  std::unique_ptr<Table> table = KeyedTable(3 * Table::kChunkSlots);
+  const Row fresh{Value::Int(100000), Value::Double(2.5)};
+
+  Table before_insert(*table);  // freezes every partition
+  ASSERT_OK(table->Insert(fresh).status());
+  EXPECT_EQ(CountDiffering(before_insert.KeyIndexShardPointers(),
+                           table->KeyIndexShardPointers()),
+            2u)
+      << "one shard per declared index";
+
+  // A NULL key column leaves that index alone.
+  Table before_null(*table);
+  ASSERT_OK(table->Insert(Row{Value::Int(100001), Value::Null()}).status());
+  EXPECT_EQ(CountDiffering(before_null.KeyIndexShardPointers(),
+                           table->KeyIndexShardPointers()),
+            1u);
+
+  const uint32_t victim = table->Find(fresh).value().row;
+  Table before_delete(*table);
+  ASSERT_TRUE(table->Delete(victim));
+  EXPECT_EQ(CountDiffering(before_delete.KeyIndexShardPointers(),
+                           table->KeyIndexShardPointers()),
+            0u);
+  EXPECT_TRUE(Probe(*table, {1}, {Value::Double(2.5)}).empty())
+      << "a probe must skip the tombstone";
+
+  Table before_resurrect(*table);
+  auto resurrected = table->Insert(fresh);
+  ASSERT_OK(resurrected.status());
+  EXPECT_EQ(resurrected.value().first.row, victim);
+  EXPECT_EQ(CountDiffering(before_resurrect.KeyIndexShardPointers(),
+                           table->KeyIndexShardPointers()),
+            0u);
+  EXPECT_EQ(Probe(*table, {1}, {Value::Double(2.5)}),
+            std::vector<uint32_t>{victim});
+
+  // Every frozen copy still answers for its own instant, and every probe
+  // equals a scan, in ascending slot order.
+  for (const Table* t : {&before_insert, &before_null, &before_delete,
+                         &before_resurrect, table.get()}) {
+    for (int64_t a : {0, 5, 767, 100000, 100001}) {
+      EXPECT_EQ(Probe(*t, {0}, {Value::Int(a)}),
+                Scan(*t, {0}, {Value::Int(a)}))
+          << "a = " << a;
+    }
+    for (int64_t b : {0, 3, 7}) {
+      // An INTEGER probe meets the DOUBLE column: 3 = 3.0.
+      std::vector<uint32_t> found = Probe(*t, {1}, {Value::Int(b)});
+      EXPECT_EQ(found, Scan(*t, {1}, {Value::Double(static_cast<double>(b))}))
+          << "b = " << b;
+      EXPECT_EQ(found.size(), 3 * Table::kChunkSlots / 8);
+    }
+  }
+  EXPECT_TRUE(Probe(before_insert, {0}, {Value::Int(100000)}).empty());
+}
+
+TEST(KeyIndexCow, DeepCopySharesNoKeyShardAndClearEmptiesThem) {
+  std::unique_ptr<Table> table = KeyedTable(2 * Table::kChunkSlots);
+  std::shared_ptr<Table> deep = table->DeepCopy();
+  std::vector<const void*> mine = table->KeyIndexShardPointers();
+  std::vector<const void*> theirs = deep->KeyIndexShardPointers();
+  ASSERT_EQ(mine.size(), theirs.size());
+  for (size_t i = 0; i < mine.size(); ++i) {
+    EXPECT_EQ(mine[i] == nullptr, theirs[i] == nullptr) << "shard " << i;
+    if (mine[i] != nullptr) {
+      EXPECT_NE(mine[i], theirs[i]) << "shard " << i;
+    }
+  }
+  EXPECT_EQ(Probe(*deep, {0}, {Value::Int(9)}),
+            Probe(*table, {0}, {Value::Int(9)}));
+
+  deep->Clear();
+  EXPECT_EQ(NonNull(deep->KeyIndexShardPointers()), 0u);
+  EXPECT_TRUE(deep->HasKeyIndex({0}));
+  EXPECT_TRUE(Probe(*deep, {0}, {Value::Int(9)}).empty());
+  ASSERT_OK(deep->Insert(Row{Value::Int(9), Value::Double(1)}).status());
+  EXPECT_EQ(Probe(*deep, {0}, {Value::Int(9)}), std::vector<uint32_t>{0});
+  EXPECT_EQ(Probe(*table, {0}, {Value::Int(9)}).size(), 4u)
+      << "clearing the deep copy reached the original";
+}
+
+TEST(KeyIndexCow, DeclarationsAreCountedAndTheLastReleaseDrops) {
+  std::unique_ptr<Table> table = KeyedTable(64);
+  table->DeclareKeyIndex({0});  // a second constraint probing {a}
+  EXPECT_EQ(table->KeyIndexShardPointers().size(), 2 * Table::kIndexShards);
+  table->ReleaseKeyIndex({0});
+  EXPECT_TRUE(table->HasKeyIndex({0}));
+  table->ReleaseKeyIndex({0});
+  EXPECT_FALSE(table->HasKeyIndex({0}));
+  EXPECT_TRUE(table->HasKeyIndex({1}));
+  EXPECT_EQ(table->KeyIndexShardPointers().size(), Table::kIndexShards);
+}
+
+TEST(KeyIndexCow, MemoryAccountingCountsEachKeyShardOnce) {
+  std::unique_ptr<Table> table = KeyedTable(4 * Table::kChunkSlots);
+  std::shared_ptr<Table> unindexed = table->DeepCopy();
+  unindexed->ReleaseKeyIndex({0});
+  unindexed->ReleaseKeyIndex({1});
+  EXPECT_GT(table->ApproxBytes(), unindexed->ApproxBytes())
+      << "key shards are not counted";
+
+  Table copy(*table);
+  std::unordered_set<const void*> seen;
+  table->CollectStorageIdentity(&seen);
+  for (const void* shard : copy.KeyIndexShardPointers()) {
+    if (shard != nullptr) {
+      EXPECT_EQ(seen.count(shard), 1u);
+    }
+  }
+  // Against the original's identity, the shared copy adds only its header.
+  size_t marginal = 0;
+  copy.AccumulateApproxBytes(&seen, &marginal);
+  EXPECT_GT(marginal, 0u);
+  EXPECT_LT(marginal, table->ApproxBytes() / 50);
+
+  std::unordered_set<const void*> both;
+  size_t combined = 0;
+  table->AccumulateApproxBytes(&both, &combined);
+  copy.AccumulateApproxBytes(&both, &combined);
+  EXPECT_EQ(combined, table->ApproxBytes() + marginal);
+}
+
+TEST(KeyIndexCow, AsyncRoundForkInheritsUntouchedKeyIndexes) {
+  ServiceOptions options = SmallPool();
+  options.bulk_redetect_statements = 16;  // the scripts below are bulks
+  QueryService service(options);
+  ASSERT_OK(service.Commit(
+      "CREATE TABLE p (a INTEGER, b INTEGER);"
+      "CREATE CONSTRAINT fd_p FD ON p (a -> b);"
+      "CREATE TABLE q (a INTEGER, b INTEGER);"
+      "CREATE CONSTRAINT fd_q FD ON q (a -> b)"));
+  ASSERT_OK(service.Commit(KeyedRows("p", 0, 2048) + KeyedRows("q", 0, 2048)));
+
+  SnapshotPtr before = service.snapshot();
+  service::CommitReceipt round =
+      service.CommitAsync(KeyedRows("p", 5000, 64)).get();
+  ASSERT_OK(round.status);
+  ASSERT_TRUE(round.phases.redetected) << "the bulk took the small path";
+  const SnapshotPtr& after = round.snapshot;  // the first post-round epoch
+
+  const Table& old_q = *before->catalog().GetTable("q").value();
+  const Table& new_q = *after->catalog().GetTable("q").value();
+  ASSERT_EQ(NonNull(old_q.KeyIndexShardPointers()), Table::kIndexShards);
+  EXPECT_EQ(old_q.KeyIndexShardPointers(), new_q.KeyIndexShardPointers())
+      << "the fork rebuilt or cloned q's key index";
+  const Table& old_p = *before->catalog().GetTable("p").value();
+  const Table& new_p = *after->catalog().GetTable("p").value();
+  EXPECT_GT(CountDiffering(old_p.KeyIndexShardPointers(),
+                           new_p.KeyIndexShardPointers()),
+            0u);
+
+  // The fork's maintainer probes the inherited indexes: a small commit
+  // after the round finds its partner.
+  ASSERT_OK(service.Commit("INSERT INTO q VALUES (7, 70)"));
+  EXPECT_EQ(service.snapshot()->hypergraph().NumEdges(),
+            after->hypergraph().NumEdges() + 1);
 }
 
 // ---------------------------------------------------------------------------
